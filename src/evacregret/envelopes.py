@@ -9,13 +9,17 @@ agrees with the true time everywhere except possibly at a single boundary
 value of the variable where every contributing weight vanishes (where the
 true time drops to zero while the envelope keeps the extension; see
 left_time_value for the clamped pointwise evaluation).
+
+Envelopes, like the profiles built on them, depend on the instance and their
+vertex and weight arguments but never on the sink, so a solver memoizes them
+in a SolveCache: an object it creates and passes down the call path, whose
+entries live exactly as long as the solver.  No state is kept at module level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, Hashable, Optional, TypeVar, Union
 
 from . import pwl
 from .evacuation import _left_time_at_vertex, _right_time_at_vertex
@@ -32,9 +36,48 @@ from .path_model import (
 )
 from .pwl import Line, PwlFunction
 
+T = TypeVar("T")
+_MISSING = object()
+
 
 class EnvelopeError(ValueError):
     """Raised when an envelope request violates its preconditions."""
+
+
+class SolveCache:
+    """The memo of one instance's sink-independent envelopes and profiles:
+    values of pure builders, keyed by a tuple naming the builder and its
+    remaining arguments.
+
+    Hashes and compares by identity, so it can be passed as an argument of a
+    call that is itself traced or memoized.  Not locked: threads sharing one
+    (through a shared `RegretSolver`) may build an entry twice, which is
+    harmless because builders are pure, and each dictionary operation on its
+    own is atomic.
+    """
+
+    __slots__ = ("instance", "_memo")
+
+    def __init__(self, instance: PathInstance):
+        self.instance = instance
+        self._memo: dict[Hashable, object] = {}
+
+    def get(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The value stored under `key`, built by `build()` on the first call."""
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = build()
+        return value  # type: ignore[return-value]
+
+
+def cache_for(instance: PathInstance, cache: Optional[SolveCache]) -> SolveCache:
+    """`cache`, or a fresh private one when it is None; a cache built for
+    another instance is refused, since its entries would not apply."""
+    if cache is None:
+        return SolveCache(instance)
+    if cache.instance is not instance:
+        raise ValueError("SolveCache belongs to a different PathInstance")
+    return cache
 
 
 @dataclass(frozen=True)
@@ -70,7 +113,6 @@ class EnvelopeRequest:
             raise EnvelopeError(f"side must be 'left' or 'right', got {side!r}")
 
 
-@lru_cache(maxsize=1 << 17)
 def left_envelope_raw(
     instance: PathInstance,
     varying: int,
@@ -109,7 +151,6 @@ def left_envelope_raw(
     return pwl.upper_envelope(ordered, (lo, hi))
 
 
-@lru_cache(maxsize=1 << 17)
 def right_envelope_raw(
     instance: PathInstance,
     varying: int,
@@ -145,6 +186,24 @@ def right_envelope_raw(
         ordered.append(Line(0, const_best))
     ordered.extend(lines)
     return pwl.upper_envelope(ordered, (lo, hi))
+
+
+def cached_envelope(
+    cache: SolveCache,
+    side: str,
+    varying: int,
+    vertex: int,
+    base: Scenario,
+    lo: Fraction,
+    hi: Fraction,
+) -> PwlFunction:
+    """left_envelope_raw or right_envelope_raw (by `side`) over the cache's
+    instance, built once per cache."""
+    build = left_envelope_raw if side == "left" else right_envelope_raw
+    return cache.get(
+        (side, varying, vertex, base, lo, hi),
+        lambda: build(cache.instance, varying, vertex, base, lo, hi),
+    )
 
 
 def lue(instance: PathInstance, req: EnvelopeRequest) -> PwlFunction:

@@ -147,41 +147,54 @@ def theta_min_on_edge(
     if not (0 <= k < instance.n):
         raise PathModelError(f"edge index out of range: {k}")
     xk, xk1 = instance.positions[k], instance.positions[k + 1]
-    tl_right, _ = _left_time_at_vertex(instance, k + 1, s)
-    tr_left, _ = _right_time_at_vertex(instance, k, s)
-    theta_k = theta(instance, xk, s).theta
-    theta_k1 = theta(instance, xk1, s).theta
+    tl_k, _ = _left_time_at_vertex(instance, k, s)
+    tr_k, _ = _right_time_at_vertex(instance, k, s)
+    tl_k1, _ = _left_time_at_vertex(instance, k + 1, s)
+    tr_k1, _ = _right_time_at_vertex(instance, k + 1, s)
+    theta_k = max(tl_k, tr_k)
+    theta_k1 = max(tl_k1, tr_k1)
 
-    # interior: max(tl_right - (xk1 - y), tr_left - (y - xk)), floored at 0
+    # interior: max(tl_k1 - (xk1 - y), tr_k - (y - xk)), floored at 0
     candidates: list[tuple[Fraction, Fraction]] = [(theta_k, xk), (theta_k1, xk1)]
-    cross = (xk + xk1 + tr_left - tl_right) / 2
+    cross = (xk + xk1 + tr_k - tl_k1) / 2
     y_star = min(max(cross, xk), xk1)
-    interior = max(tl_right - (xk1 - y_star), tr_left - (y_star - xk), ZERO)
+    interior = max(tl_k1 - (xk1 - y_star), tr_k - (y_star - xk), ZERO)
     if interior == 0:
         # zero is attained on a segment; report its leftmost point
-        y_star = xk + tr_left
+        y_star = xk + tr_k
     candidates.append((interior, y_star))
     best = min(candidates, key=lambda c: (c[0], c[1]))
     return as_point(instance, best[1]), best[0]
 
 
 def _unimodal_edge_search(
-    edge_min: Callable[[int], Fraction], n_edges: int
-) -> int:
-    """Index of a minimizing entry of a weakly-unimodal edge-minimum sequence.
+    edge_minimum: Callable[[int], tuple], n_edges: int
+) -> tuple:
+    """The least `edge_minimum(k)` over a weakly-unimodal sequence of edges,
+    where each entry starts with (minimum value, leftmost minimizing position).
 
-    Standard halving on comparisons of adjacent entries; ties move left, which
+    Standard halving on comparisons of adjacent values; ties move left, which
     is sound because non-bottom plateaus cannot occur (interior slopes are
-    exactly +-1, never flat).
+    exactly +-1, never flat).  The located edge and both neighbours are then
+    compared directly, which also guards the jump discontinuities at
+    vertices; ties go to the leftmost position.  Each edge is evaluated once.
     """
+    entries: dict[int, tuple] = {}
+
+    def entry(k: int) -> tuple:
+        if k not in entries:
+            entries[k] = edge_minimum(k)
+        return entries[k]
+
     lo, hi = 0, n_edges - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if edge_min(mid) <= edge_min(mid + 1):
+        if entry(mid)[0] <= entry(mid + 1)[0]:
             hi = mid
         else:
             lo = mid + 1
-    return lo
+    nearby = [entry(k) for k in range(max(0, lo - 1), min(n_edges, lo + 2))]
+    return min(nearby, key=lambda e: (e[0], e[1]))
 
 
 def optimal_sink(instance: PathInstance, s: Scenario) -> OptSink:
@@ -198,22 +211,12 @@ def optimal_sink(instance: PathInstance, s: Scenario) -> OptSink:
     if instance.n == 0:
         return OptSink(Point(instance.positions[0], 0), ZERO)
 
-    cache: dict[int, tuple[Point, Fraction]] = {}
+    def edge_minimum(k: int) -> tuple[Fraction, Fraction, Point]:
+        point, value = theta_min_on_edge(instance, k, s)
+        return value, point.value, point
 
-    def edge_min(k: int) -> Fraction:
-        if k not in cache:
-            cache[k] = theta_min_on_edge(instance, k, s)
-        return cache[k][1]
-
-    k_star = _unimodal_edge_search(edge_min, instance.n)
-    best_point, best_value = None, None
-    for k in range(max(0, k_star - 1), min(instance.n, k_star + 2)):
-        point, value = cache[k] if k in cache else theta_min_on_edge(instance, k, s)
-        if best_value is None or value < best_value or (
-            value == best_value and point.value < best_point.value
-        ):
-            best_point, best_value = point, value
-    return OptSink(best_point, best_value)
+    value, _, point = _unimodal_edge_search(edge_minimum, instance.n)
+    return OptSink(point, value)
 
 
 def regret(

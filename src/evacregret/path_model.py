@@ -19,6 +19,9 @@ def to_fraction(value: RationalLike) -> Fraction:
     """Parse a rational given as a Fraction, int, "p/q" string, or decimal literal."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        # a JSON true/false would otherwise pass as the int 1/0
+        raise PathModelError(f"not an exact rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -365,11 +368,6 @@ def reflect_instance(instance: PathInstance) -> PathInstance:
 
 def reflect_scenario(s: Scenario) -> Scenario:
     return Scenario(tuple(reversed(s.weights)))
-
-
-def reflect_point(instance: PathInstance, x: Union[Point, RationalLike]) -> Point:
-    value = x.value if isinstance(x, Point) else to_fraction(x)
-    return Point(instance.positions[-1] - value)
 
 
 # JSON instance / scenario formats --------------------------------------------

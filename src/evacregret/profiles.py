@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from . import pwl
-from .envelopes import left_envelope_raw, right_envelope_raw
+from .envelopes import SolveCache, cache_for, cached_envelope
 from .evacuation import _left_time_at_vertex, _right_time_at_vertex, theta_min_on_edge
 from .path_model import (
     PathInstance,
@@ -439,52 +438,56 @@ def min_max_y_profile(
 
 
 # Vertex and edge evacuation profiles -------------------------------------------
+#
+# The builders below take the SolveCache of their instance and memoize every
+# part a neighbouring vertex or edge reuses: one-sided envelopes, vertex
+# profiles and single-varying vertex parts.
 
 
 def _side_profile(
-    instance: PathInstance,
     base: Scenario,
     varying: int,
     vertex: int,
     lo: Fraction,
     hi: Fraction,
     side: str,
+    cache: SolveCache,
 ) -> PwlFunction:
     """One-sided envelope for a profile, with degenerate (pinned) coordinates
     evaluated by the true closed form instead of the linear extension."""
     if lo == hi:
         pinned = substitute(base, varying, lo)
         if side == "left":
-            value, _ = _left_time_at_vertex(instance, vertex, pinned)
+            value, _ = _left_time_at_vertex(cache.instance, vertex, pinned)
         else:
-            value, _ = _right_time_at_vertex(instance, vertex, pinned)
+            value, _ = _right_time_at_vertex(cache.instance, vertex, pinned)
         return pwl.constant(value, lo, hi)
-    if side == "left":
-        return left_envelope_raw(instance, varying, vertex, base, lo, hi)
-    return right_envelope_raw(instance, varying, vertex, base, lo, hi)
+    return cached_envelope(cache, side, varying, vertex, base, lo, hi)
 
 
-@lru_cache(maxsize=1 << 16)
 def _vertex_profile_core(
-    instance: PathInstance, base: Scenario, vi: int, vj: int, k: int, box: Box
+    base: Scenario, vi: int, vj: int, k: int, box: Box, cache: SolveCache
 ) -> PwlFunction:
-    f_left = _side_profile(instance, base, vi, k, box.a1, box.a2, "left")
-    f_right = _side_profile(instance, base, vj, k, box.b1, box.b2, "right")
-    return _min_max_core(f_left, f_right, box)
+    def build() -> PwlFunction:
+        f_left = _side_profile(base, vi, k, box.a1, box.a2, "left", cache)
+        f_right = _side_profile(base, vj, k, box.b1, box.b2, "right", cache)
+        return _min_max_core(f_left, f_right, box)
+
+    return cache.get(("vertex_profile", base, vi, vj, k, box), build)
 
 
 def _edge_profile_core(
-    instance: PathInstance, base: Scenario, vi: int, vj: int, k: int, box: Box
+    base: Scenario, vi: int, vj: int, k: int, box: Box, cache: SolveCache
 ) -> PwlFunction:
-    at_left = _vertex_profile_core(instance, base, vi, vj, k, box)
-    at_right = _vertex_profile_core(instance, base, vi, vj, k + 1, box)
-    xk = instance.positions[k]
-    xk1 = instance.positions[k + 1]
+    at_left = _vertex_profile_core(base, vi, vj, k, box, cache)
+    at_right = _vertex_profile_core(base, vi, vj, k + 1, box, cache)
+    xk = cache.instance.positions[k]
+    xk1 = cache.instance.positions[k + 1]
     f_left = pwl.add_const(
-        _side_profile(instance, base, vi, k + 1, box.a1, box.a2, "left"), -xk1
+        _side_profile(base, vi, k + 1, box.a1, box.a2, "left", cache), -xk1
     )
     f_right = pwl.add_const(
-        _side_profile(instance, base, vj, k, box.b1, box.b2, "right"), xk
+        _side_profile(base, vj, k, box.b1, box.b2, "right", cache), xk
     )
     interior = _min_max_offset_core(f_left, f_right, box, xk, xk1)
     # a side with no weight contributes zero, not its (negative) line value
@@ -502,48 +505,58 @@ def vertex_min_profile(
     if not (0 <= i <= k <= j < instance.vertex_count):
         raise ProfileError(f"vertex_min_profile requires i <= k <= j, got {i},{k},{j}")
     base = two_varying(instance, i, j, 0, 0)
-    return _vertex_profile_core(instance, base, i, j, k, box)
+    return _vertex_profile_core(base, i, j, k, box, SolveCache(instance))
 
 
 def edge_min_profile(
-    instance: PathInstance, i: int, j: int, k: int, box: Box
+    instance: PathInstance,
+    i: int,
+    j: int,
+    k: int,
+    box: Box,
+    *,
+    cache: Optional[SolveCache] = None,
 ) -> PwlFunction:
     """Min over box slices and sink positions on edge [x_k, x_{k+1}] of the
-    evacuation time under two-varying scenarios (i <= k < j)."""
+    evacuation time under two-varying scenarios (i <= k < j).  `cache`, when
+    given, is the instance's SolveCache; it changes no result."""
     if not (0 <= i <= k < j < instance.vertex_count):
         raise ProfileError(f"edge_min_profile requires i <= k < j, got {i},{k},{j}")
     base = two_varying(instance, i, j, 0, 0)
-    return _edge_profile_core(instance, base, i, j, k, box)
+    return _edge_profile_core(base, i, j, k, box, cache_for(instance, cache))
 
 
-@lru_cache(maxsize=1 << 16)
 def _single_vertex_part(
-    instance: PathInstance, base: Scenario, varying: int, k: int, lo: Fraction, hi: Fraction
+    base: Scenario, varying: int, k: int, lo: Fraction, hi: Fraction, cache: SolveCache
 ) -> PwlFunction:
     """Evacuation time at x_k with one varying weight: pointwise max of the
     varying side's envelope and the fixed side's true constant."""
-    if varying <= k:
-        moving = left_envelope_raw(instance, varying, k, base, lo, hi)
-        fixed, _ = _right_time_at_vertex(instance, k, base)
-    else:
-        moving = right_envelope_raw(instance, varying, k, base, lo, hi)
-        fixed, _ = _left_time_at_vertex(instance, k, base)
-    return pwl.merge_max(moving, pwl.constant(fixed, lo, hi))
+
+    def build() -> PwlFunction:
+        if varying <= k:
+            moving = cached_envelope(cache, "left", varying, k, base, lo, hi)
+            fixed, _ = _right_time_at_vertex(cache.instance, k, base)
+        else:
+            moving = cached_envelope(cache, "right", varying, k, base, lo, hi)
+            fixed, _ = _left_time_at_vertex(cache.instance, k, base)
+        return pwl.merge_max(moving, pwl.constant(fixed, lo, hi))
+
+    return cache.get(("single_vertex_part", base, varying, k, lo, hi), build)
 
 
-@lru_cache(maxsize=1 << 16)
 def _edge_profile_single_core(
-    instance: PathInstance, base: Scenario, varying: int, k: int, lo: Fraction, hi: Fraction
+    base: Scenario, varying: int, k: int, lo: Fraction, hi: Fraction, cache: SolveCache
 ) -> PwlFunction:
     """Single-varying edge profile without the two-coordinate machinery: both
     vertex parts plus the interior, whose offset minimum against a constant
     side is the clamped balanced point in closed form."""
+    instance = cache.instance
     xk, xk1 = instance.positions[k], instance.positions[k + 1]
-    at_left = _single_vertex_part(instance, base, varying, k, lo, hi)
-    at_right = _single_vertex_part(instance, base, varying, k + 1, lo, hi)
+    at_left = _single_vertex_part(base, varying, k, lo, hi, cache)
+    at_right = _single_vertex_part(base, varying, k + 1, lo, hi, cache)
     if varying <= k:
         moving = pwl.add_const(
-            left_envelope_raw(instance, varying, k + 1, base, lo, hi), -xk1
+            cached_envelope(cache, "left", varying, k + 1, base, lo, hi), -xk1
         )
         fixed = _right_time_at_vertex(instance, k, base)[0] + xk
         # min over y of max(moving + y, fixed - y)
@@ -554,7 +567,7 @@ def _edge_profile_single_core(
         ]
     else:
         moving = pwl.add_const(
-            right_envelope_raw(instance, varying, k, base, lo, hi), xk
+            cached_envelope(cache, "right", varying, k, base, lo, hi), xk
         )
         fixed = _left_time_at_vertex(instance, k + 1, base)[0] - xk1
         parts = [
@@ -577,18 +590,22 @@ def edge_min_profile_single(
     k: int,
     base: Scenario,
     alpha_range: tuple[RationalLike, RationalLike],
+    *,
+    cache: Optional[SolveCache] = None,
 ) -> PwlFunction:
     """Min over sink positions on edge [x_k, x_{k+1}] of the evacuation time
     with only the weight at v_j varying, all others fixed by `base`.
 
     Equivalent to the two-varying edge profile with an auxiliary coordinate
     pinned at its base value, but built directly: the fixed side collapses to
-    a true constant and the interior offset minimum is closed-form.
+    a true constant and the interior offset minimum is closed-form.  `cache`,
+    when given, is the instance's SolveCache; it changes no result.
     """
     lo, hi = to_fraction(alpha_range[0]), to_fraction(alpha_range[1])
     if not (0 <= k < instance.n and 0 <= j < instance.vertex_count):
         raise ProfileError(f"edge_min_profile_single indices out of range: {j},{k}")
+    cache = cache_for(instance, cache)
     if lo == hi:
         pinned = substitute(base, j, lo)
         return pwl.constant(theta_min_on_edge(instance, k, pinned)[1], lo, hi)
-    return _edge_profile_single_core(instance, base, j, k, lo, hi)
+    return _edge_profile_single_core(base, j, k, lo, hi, cache)

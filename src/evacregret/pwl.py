@@ -281,11 +281,6 @@ def add_const(f: PwlFunction, c: RationalLike) -> PwlFunction:
     return PwlFunction(f.breakpoints, tuple(v + c for v in f.values))
 
 
-def add_line(f: PwlFunction, line: Line) -> PwlFunction:
-    """Pointwise sum with a single line."""
-    return PwlFunction(f.breakpoints, tuple(v + line.at(q) for q, v in zip(f.breakpoints, f.values)))
-
-
 def scale(f: PwlFunction, c: RationalLike) -> PwlFunction:
     """Positive scaling c*f."""
     c = to_fraction(c)

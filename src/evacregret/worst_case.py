@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import pwl
-from .envelopes import left_envelope_raw, right_envelope_raw
-from .evacuation import optimal_sink, theta, theta_min_on_edge
+from .envelopes import SolveCache, cache_for, cached_envelope
+from .evacuation import _unimodal_edge_search, optimal_sink, theta, theta_min_on_edge
 from .path_model import (
     PathInstance,
     PathModelError,
@@ -138,16 +138,40 @@ def _term_line(
     return pwl.from_line(_single_line(instance, j, x, base), lo, hi)
 
 
-def eval_left_single(instance: PathInstance, j: int, x: RationalLike) -> _Term:
+def _single_profile(
+    cache: SolveCache, varying: int, u: int, base: Scenario, lo: Fraction, hi: Fraction
+) -> PwlFunction:
+    """edge_min_profile_single over the cache's instance, built once per cache."""
+    return cache.get(
+        ("edge_min_profile_single", varying, u, base, lo, hi),
+        lambda: edge_min_profile_single(
+            cache.instance, varying, u, base, (lo, hi), cache=cache
+        ),
+    )
+
+
+def _pair_profile(cache: SolveCache, i: int, j: int, u: int, box: Box) -> PwlFunction:
+    """edge_min_profile over the cache's instance, built once per cache."""
+    return cache.get(
+        ("edge_min_profile", i, j, u, box),
+        lambda: edge_min_profile(cache.instance, i, j, u, box, cache=cache),
+    )
+
+
+def eval_left_single(
+    instance: PathInstance, j: int, x: RationalLike, *, cache: Optional[SolveCache] = None
+) -> _Term:
     """Family: only the weight at v_j varies, everything else at lower bounds;
-    sink candidates for the subtrahend range over [x_j, x_n]."""
+    sink candidates for the subtrahend range over [x_j, x_n].  `cache`, when
+    given, is the instance's SolveCache; it changes no result."""
     x = to_fraction(x)
+    cache = cache_for(instance, cache)
     base = two_varying(instance, j, j, 0, 0)
     lo, hi = instance.weight_lo[j], instance.weight_hi[j]
     line = _term_line(instance, j, j, x, base, lo, hi)
     best: Optional[_Term] = None
     for u in range(j, instance.n):
-        profile = edge_min_profile_single(instance, j, u, base, (lo, hi))
+        profile = _single_profile(cache, j, u, base, lo, hi)
         value, args = pwl.max_difference_all(line, profile)
         if best is None or value > best.value:
             best = _Term(value, FAMILY_LEFT_SINGLE, None, j, u, tuple(args))
@@ -155,16 +179,24 @@ def eval_left_single(instance: PathInstance, j: int, x: RationalLike) -> _Term:
     return best
 
 
-def eval_left_pair(instance: PathInstance, i: int, j: int, x: RationalLike) -> _Term:
+def eval_left_pair(
+    instance: PathInstance,
+    i: int,
+    j: int,
+    x: RationalLike,
+    *,
+    cache: Optional[SolveCache] = None,
+) -> _Term:
     """Family: pair (i, j) with the weight at v_j pinned to its upper bound
-    and the weight at v_i free."""
+    and the weight at v_i free.  `cache` as for eval_left_single."""
     x = to_fraction(x)
+    cache = cache_for(instance, cache)
     base = two_varying(instance, i, j, 0, instance.weight_hi[j])
     lo, hi = instance.weight_lo[i], instance.weight_hi[i]
     line = _term_line(instance, i, j, x, base, lo, hi)
     best: Optional[_Term] = None
     for u in range(j, instance.n):
-        profile = edge_min_profile_single(instance, i, u, base, (lo, hi))
+        profile = _single_profile(cache, i, u, base, lo, hi)
         value, args = pwl.max_difference_all(line, profile)
         if best is None or value > best.value:
             best = _Term(value, FAMILY_LEFT_PAIR, i, j, u, tuple(args))
@@ -204,16 +236,22 @@ def _pair_box(instance: PathInstance, i: int, j: int) -> Box:
 
 
 def eval_left_pair_inner(
-    instance: PathInstance, i: int, j: int, x: RationalLike
+    instance: PathInstance,
+    i: int,
+    j: int,
+    x: RationalLike,
+    *,
+    cache: Optional[SolveCache] = None,
 ) -> _Term:
     """Family: pair (i, j) with both weights free and the subtrahend's sink
-    ranging over [x_i, x_j]."""
+    ranging over [x_i, x_j].  `cache` as for eval_left_single."""
     x = to_fraction(x)
+    cache = cache_for(instance, cache)
     box = _pair_box(instance, i, j)
     envelope = left_arrival_envelope(instance, i, j, x)
     best: Optional[_Term] = None
     for u in range(i, j):
-        profile = edge_min_profile(instance, i, j, u, box)
+        profile = _pair_profile(cache, i, j, u, box)
         value, args = pwl.max_difference_all(envelope, profile)
         if best is None or value > best.value:
             best = _Term(value, FAMILY_LEFT_PAIR_INNER, i, j, u, tuple(args))
@@ -221,15 +259,18 @@ def eval_left_pair_inner(
     return best
 
 
-def _left_terms(instance: PathInstance, m: int) -> list[_Term]:
-    """All left-side family contributions at vertex x_m."""
+def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
+    """All left-side family contributions at vertex x_m of the cache's
+    instance."""
+    instance = cache.instance
+    x = instance.positions[m]
     terms: list[_Term] = []
     for j in range(m):
-        terms.append(eval_left_single(instance, j, instance.positions[m]))
+        terms.append(eval_left_single(instance, j, x, cache=cache))
     for j in range(1, m):
         for i in range(j):
-            terms.append(eval_left_pair(instance, i, j, instance.positions[m]))
-            terms.append(eval_left_pair_inner(instance, i, j, instance.positions[m]))
+            terms.append(eval_left_pair(instance, i, j, x, cache=cache))
+            terms.append(eval_left_pair_inner(instance, i, j, x, cache=cache))
     return terms
 
 
@@ -281,7 +322,7 @@ def eval_right_pair_inner(
 
 
 def _candidate_splits(
-    instance: PathInstance, i: int, j: int, u: int, alpha: Fraction, box: Box
+    cache: SolveCache, i: int, j: int, u: int, alpha: Fraction, box: Box
 ) -> list[Fraction]:
     """Candidate first coordinates for the pair split alpha = a1 + a2: slice
     endpoints, envelope breakpoints projected to the slice, and piecewise
@@ -290,9 +331,9 @@ def _candidate_splits(
     hi = min(box.a2, alpha - box.b1)
     if lo > hi:
         return []
-    base = two_varying(instance, i, j, 0, 0)
-    fl = left_envelope_raw(instance, i, u + 1, base, box.a1, box.a2)
-    fr = right_envelope_raw(instance, j, u, base, box.b1, box.b2)
+    base = two_varying(cache.instance, i, j, 0, 0)
+    fl = cached_envelope(cache, "left", i, u + 1, base, box.a1, box.a2)
+    fr = cached_envelope(cache, "right", j, u, base, box.b1, box.b2)
     cuts = {lo, hi}
     for q in fl.breakpoints:
         if lo <= q <= hi:
@@ -311,9 +352,11 @@ def _candidate_splits(
 
 
 def _witness_scenarios(
-    instance: PathInstance, term: _Term
+    cache: SolveCache, term: _Term
 ) -> list[tuple[Scenario, Fraction, Optional[Fraction]]]:
-    """Scenario candidates realizing a term's argmax, best split first."""
+    """Scenario candidates realizing a term's argmax over the cache's
+    instance, best split first."""
+    instance = cache.instance
     out: list[tuple[Scenario, Fraction, Optional[Fraction]]] = []
     if term.family == FAMILY_LEFT_SINGLE:
         base = two_varying(instance, term.j, term.j, 0, 0)
@@ -327,7 +370,7 @@ def _witness_scenarios(
     else:
         box = _pair_box(instance, term.i, term.j)
         for alpha in term.alphas:
-            splits = _candidate_splits(instance, term.i, term.j, term.edge, alpha, box)
+            splits = _candidate_splits(cache, term.i, term.j, term.edge, alpha, box)
             scored = []
             for a1 in splits:
                 s = two_varying(instance, term.i, term.j, a1, alpha - a1)
@@ -345,19 +388,23 @@ class RegretSolver:
     """Evaluates the worst-case regret at sinks and searches for its minimizer.
 
     Holds the reflected instance so the right-side families reuse the
-    left-side evaluators, and caches per-vertex results for the outer search.
+    left-side evaluators, one SolveCache per side so every sink-independent
+    profile is built once per solver, and per-vertex results for the outer
+    search.  All of it is freed with the solver.
     """
 
     def __init__(self, instance: PathInstance):
         self.instance = instance
         self.reflected = reflect_instance(instance)
+        self._cache = SolveCache(instance)
+        self._reflected_cache = SolveCache(self.reflected)
         self._vertex_cache: dict[int, VertexRegret] = {}
 
     # -- per-vertex aggregation
 
     def _terms_at_vertex(self, m: int) -> tuple[list[_Term], list[_Term]]:
-        left = _left_terms(self.instance, m)
-        mirrored = _left_terms(self.reflected, self.instance.n - m)
+        left = _left_terms(self._cache, m)
+        mirrored = _left_terms(self._reflected_cache, self.instance.n - m)
         return left, mirrored
 
     def _reflect_term_witness(
@@ -400,7 +447,7 @@ class RegretSolver:
         replay through the evacuation module reproduces `value` at `x`."""
         fallback: Optional[Witness] = None
         for term, is_mirror in candidates:
-            source = self.reflected if is_mirror else self.instance
+            source = self._reflected_cache if is_mirror else self._cache
             for scenario, alpha, beta in _witness_scenarios(source, term):
                 if is_mirror:
                     scenario, mapped = self._reflect_term_witness(scenario, term)
@@ -498,28 +545,7 @@ class RegretSolver:
             rep = self.vertex_regret(0)
             return RegretReport(rep.value, Point(inst.positions[0], 0), rep.witness)
 
-        cache: dict[int, tuple[Fraction, Fraction]] = {}
-
-        def edge_min(u: int) -> Fraction:
-            if u not in cache:
-                cache[u] = self._edge_minimum(u)
-            return cache[u][0]
-
-        lo, hi = 0, inst.n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if edge_min(mid) <= edge_min(mid + 1):
-                hi = mid
-            else:
-                lo = mid + 1
-        best_value: Optional[Fraction] = None
-        best_point: Optional[Fraction] = None
-        for u in range(max(0, lo - 1), min(inst.n, lo + 2)):
-            value, point = cache[u] if u in cache else self._edge_minimum(u)
-            if best_value is None or value < best_value or (
-                value == best_value and point < best_point
-            ):
-                best_value, best_point = value, point
+        best_value, best_point = _unimodal_edge_search(self._edge_minimum, inst.n)
         location = as_point(inst, best_point)
         report = self.max_regret(location)
         return RegretReport(best_value, location, report.witness)

@@ -143,6 +143,20 @@ def test_missing_file_is_validation_error(capsys):
     assert run(["maxregret", "--instance", "/nonexistent.json", "--sink", "0"]) == 1
 
 
+def test_boolean_capacity_rejected(tmp_path):
+    # JSON true is not the number 1
+    doc = {
+        "vertices": [
+            {"position": "0", "w_min": "0", "w_max": "2"},
+            {"position": "1", "w_min": "0", "w_max": "2"},
+        ],
+        "capacities": [True],
+    }
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert run(["minmax-regret", "--instance", str(path)]) == 1
+
+
 def test_sink_outside_path_rejected(t1_file, scenario_file):
     assert run([
         "evacuate", "--instance", t1_file, "--scenario", scenario_file, "--sink", "9",

@@ -289,3 +289,29 @@ def test_profile_monotone_nondecreasing():
             inst.weight_lo[i], inst.weight_hi[i], inst.weight_lo[j], inst.weight_hi[j]
         )
         assert edge_min_profile(inst, i, j, k, box).is_good()
+
+
+def test_shared_cache_changes_no_profile():
+    """Profiles built through one SolveCache equal those built without one,
+    and a cache built for another instance is refused."""
+    from evacregret.envelopes import SolveCache
+    from evacregret.path_model import reflect_instance
+
+    rng = random.Random(257)
+    inst = random_instance(rng, max_n=5, zero_lower=False)
+    cache = SolveCache(inst)
+    n = inst.n
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            box = Box(
+                inst.weight_lo[i], inst.weight_hi[i], inst.weight_lo[j], inst.weight_hi[j]
+            )
+            base = two_varying(inst, i, j, 0, inst.weight_hi[j])
+            span = (inst.weight_lo[i], inst.weight_hi[i])
+            for k in range(i, j):
+                assert edge_min_profile(inst, i, j, k, box, cache=cache) == \
+                    edge_min_profile(inst, i, j, k, box)
+                assert edge_min_profile_single(inst, i, k, base, span, cache=cache) == \
+                    edge_min_profile_single(inst, i, k, base, span)
+    with pytest.raises(ValueError):
+        edge_min_profile(reflect_instance(inst), 0, n, 0, box, cache=cache)

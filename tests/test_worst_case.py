@@ -1,7 +1,9 @@
 """Family evaluators, max-regret aggregation, and the minmax search."""
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from evacregret import (
     theta,
     two_varying,
 )
+from evacregret import worst_case
 from evacregret.oracle import GridConfig, GridOracle
 from evacregret.path_model import reflect_instance
 from evacregret.worst_case import (
@@ -221,6 +224,41 @@ def test_min_max_regret_not_above_vertices():
         for m in range(inst.vertex_count):
             assert report.value <= solver.vertex_regret(m).value
         assert solver.max_regret(report.location).value == report.value
+
+
+def test_solver_frees_its_instance():
+    """No module-level state keeps an instance alive after its solver is gone."""
+    inst = random_instance(random.Random(5), max_n=4)
+    solver = RegretSolver(inst)
+    solver.min_max_regret()
+    ref = weakref.ref(inst)
+    del solver, inst
+    gc.collect()
+    assert ref() is None
+
+
+def test_solve_builds_each_edge_profile_once(monkeypatch):
+    """Across the vertices one solve evaluates, every edge profile the family
+    evaluators request, pinned (lo == hi) ones included, is built once."""
+    inst = PathInstance(
+        [0, 1, 3, 4, 6, 7], [2, 1, 3, 1, 2], [0, 1, 0, 1, 0, 0], [2, 1, 1, 2, 1, 2]
+    )
+    calls: dict[str, list] = {"edge_min_profile": [], "edge_min_profile_single": []}
+    for name, seen in calls.items():
+        original = getattr(worst_case, name)
+
+        def counted(instance, *args, _original=original, _seen=seen, **kwargs):
+            _seen.append((id(instance),) + args)
+            return _original(instance, *args, **kwargs)
+
+        monkeypatch.setattr(worst_case, name, counted)
+    solver = RegretSolver(inst)
+    solver.min_max_regret()
+    assert len(solver._vertex_cache) > 2
+    single = calls["edge_min_profile_single"]
+    assert calls["edge_min_profile"] and any(lo == hi for *_, (lo, hi) in single)
+    for seen in calls.values():
+        assert len(seen) == len(set(seen))
 
 
 def test_max_regret_against_grid_oracle():
