@@ -1,104 +1,47 @@
 """Minmax-regret 1-sink location on dynamic path networks with general
-edge capacities, with exact rational arithmetic throughout."""
+edge capacities, with exact rational arithmetic throughout.
 
-from .envelopes import EnvelopeRequest, lue, rue, theta_of_alpha
-from .evacuation import (
-    EvacResult,
-    OptSink,
-    left_vertex_time,
-    optimal_sink,
-    regret,
-    right_vertex_time,
-    theta,
-    theta_min_on_edge,
-)
+The top level holds the path model, the solver entry points with their
+return types, and the `pwl` module; the other layers are reached through
+their own modules (`evacregret.profiles`, `evacregret.envelopes`, ...)."""
+
+from . import pwl
+from .evacuation import EvacResult, OptSink, optimal_sink, regret, theta
 from .path_model import (
     PathInstance,
     PathModelError,
     Point,
     Scenario,
-    min_capacity,
     parse_instance,
     parse_scenario,
-    prefix_weight,
-    shift,
-    substitute,
-    two_varying,
     validate,
 )
-from .profiles import (
-    Box,
-    ProfileError,
-    edge_min_profile,
-    edge_min_profile_single,
-    min_max_profile,
-    min_max_y_profile,
-    vertex_min_profile,
-)
-from .pwl import Line, PartialPwl, PwlError, PwlFunction, upper_envelope
 from .worst_case import (
     RegretReport,
     RegretSolver,
     Witness,
-    eval_left_pair,
-    eval_left_pair_inner,
-    eval_left_single,
-    eval_right_pair,
-    eval_right_pair_inner,
-    eval_right_single,
-    left_arrival_envelope,
     max_regret,
     min_max_regret,
 )
 
 __all__ = [
-    "Box",
-    "EnvelopeRequest",
     "EvacResult",
-    "Line",
     "OptSink",
-    "PartialPwl",
     "PathInstance",
     "PathModelError",
     "Point",
-    "ProfileError",
-    "PwlError",
-    "PwlFunction",
     "RegretReport",
     "RegretSolver",
     "Scenario",
     "Witness",
-    "edge_min_profile",
-    "edge_min_profile_single",
-    "eval_left_pair",
-    "eval_left_pair_inner",
-    "eval_left_single",
-    "eval_right_pair",
-    "eval_right_pair_inner",
-    "eval_right_single",
-    "left_arrival_envelope",
-    "left_vertex_time",
-    "lue",
     "max_regret",
-    "min_capacity",
-    "min_max_profile",
     "min_max_regret",
-    "min_max_y_profile",
     "optimal_sink",
     "parse_instance",
     "parse_scenario",
-    "prefix_weight",
+    "pwl",
     "regret",
-    "right_vertex_time",
-    "rue",
-    "shift",
-    "substitute",
     "theta",
-    "theta_min_on_edge",
-    "theta_of_alpha",
-    "two_varying",
-    "upper_envelope",
     "validate",
-    "vertex_min_profile",
 ]
 __version__ = "0.1.0"

@@ -9,18 +9,16 @@ from fractions import Fraction
 from typing import Optional
 
 from . import oracle, pwl
-from .envelopes import EnvelopeError, left_envelope_raw, right_envelope_raw
+from .envelopes import left_envelope_raw, right_envelope_raw
 from .evacuation import optimal_sink, regret, theta
 from .path_model import (
     PathInstance,
     PathModelError,
     Scenario,
-    emit_instance,
     format_fraction,
     parse_instance,
     parse_scenario,
     to_fraction,
-    two_varying,
     validate,
 )
 from .profiles import Box, ProfileError, edge_min_profile, vertex_min_profile
@@ -255,7 +253,6 @@ def run(argv: Optional[list[str]] = None) -> int:
         PathModelError,
         pwl.PwlError,
         ProfileError,
-        EnvelopeError,
         OSError,
         json.JSONDecodeError,
         ValueError,

@@ -7,8 +7,8 @@ are folded into a single constant evaluated with the exact zero-weight rule.
 The envelope is therefore the linear extension of the one-sided time: it
 agrees with the true time everywhere except possibly at a single boundary
 value of the variable where every contributing weight vanishes (where the
-true time drops to zero while the envelope keeps the extension; see
-left_time_value for the clamped pointwise evaluation).
+true time drops to zero while the envelope keeps the extension).  The right
+side is the left side of the mirror image of the path.
 
 Envelopes, like the profiles built on them, depend on the instance and their
 vertex and weight arguments but never on the sink, so a solver memoizes them
@@ -17,31 +17,24 @@ entries live exactly as long as the solver.  No state is kept at module level.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Optional, TypeVar, Union
+from typing import Callable, Hashable, Optional, TypeVar
 
 from . import pwl
-from .evacuation import _left_time_at_vertex, _right_time_at_vertex
+from .evacuation import _left_time_at_vertex
 from .path_model import (
     PathInstance,
-    PathModelError,
-    Point,
     RationalLike,
     Scenario,
-    as_point,
     prefix_weight,
-    substitute,
+    reflect_instance,
+    reflect_scenario,
     to_fraction,
 )
 from .pwl import Line, PwlFunction
 
 T = TypeVar("T")
 _MISSING = object()
-
-
-class EnvelopeError(ValueError):
-    """Raised when an envelope request violates its preconditions."""
 
 
 class SolveCache:
@@ -80,39 +73,6 @@ def cache_for(instance: PathInstance, cache: Optional[SolveCache]) -> SolveCache
     return cache
 
 
-@dataclass(frozen=True)
-class EnvelopeRequest:
-    """A one-sided envelope query: vary the weight at `varying`, evaluate the
-    side's evacuation time at vertex `vertex`, over alpha in [lo, hi]."""
-
-    base: Scenario
-    varying: int
-    vertex: int
-    side: str
-    lo: Fraction
-    hi: Fraction
-
-    def __init__(
-        self,
-        base: Scenario,
-        varying: int,
-        vertex: int,
-        side: str,
-        lo: RationalLike,
-        hi: RationalLike,
-    ):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "varying", varying)
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "lo", to_fraction(lo))
-        object.__setattr__(self, "hi", to_fraction(hi))
-        if self.lo < 0 or self.lo > self.hi:
-            raise EnvelopeError(f"bad alpha domain [{self.lo}, {self.hi}]")
-        if side not in ("left", "right"):
-            raise EnvelopeError(f"side must be 'left' or 'right', got {side!r}")
-
-
 def left_envelope_raw(
     instance: PathInstance,
     varying: int,
@@ -139,7 +99,7 @@ def left_envelope_raw(
         dist = pos[vertex] - pos[t]
         w_prefix = prefix_weight(base, 0, t)
         if t >= varying:
-            lines.append(Line(1 / cap, dist + (w_prefix - w_var) / cap, tag=t))
+            lines.append(Line(1 / cap, dist + (w_prefix - w_var) / cap))
         else:
             g = Fraction(0) if w_prefix == 0 else dist + w_prefix / cap
             if const_best is None or g > const_best:
@@ -159,33 +119,12 @@ def right_envelope_raw(
     lo: RationalLike,
     hi: RationalLike,
 ) -> PwlFunction:
-    """Mirror of left_envelope_raw for the right evacuation time."""
-    lo, hi = to_fraction(lo), to_fraction(hi)
-    pos = instance.positions
+    """Right evacuation time at x_vertex as a function of the weight at
+    v_varying: left_envelope_raw on the mirror image of the path."""
     n = instance.n
-    if vertex == n or varying <= vertex:
-        value, _ = _right_time_at_vertex(instance, vertex, base)
-        return pwl.constant(value, lo, hi)
-
-    w_var = base.weights[varying]
-    const_best: Optional[Fraction] = None
-    lines: list[Line] = []
-    cap: Optional[Fraction] = None
-    for t in range(vertex + 1, n + 1):
-        cap = instance.capacities[t - 1] if cap is None else min(cap, instance.capacities[t - 1])
-        dist = pos[t] - pos[vertex]
-        w_suffix = prefix_weight(base, t, n)
-        if t <= varying:
-            lines.append(Line(1 / cap, dist + (w_suffix - w_var) / cap, tag=t))
-        else:
-            h = Fraction(0) if w_suffix == 0 else dist + w_suffix / cap
-            if const_best is None or h > const_best:
-                const_best = h
-    ordered: list[Line] = []
-    if const_best is not None:
-        ordered.append(Line(0, const_best))
-    ordered.extend(lines)
-    return pwl.upper_envelope(ordered, (lo, hi))
+    return left_envelope_raw(
+        reflect_instance(instance), n - varying, n - vertex, reflect_scenario(base), lo, hi
+    )
 
 
 def cached_envelope(
@@ -204,66 +143,3 @@ def cached_envelope(
         (side, varying, vertex, base, lo, hi),
         lambda: build(cache.instance, varying, vertex, base, lo, hi),
     )
-
-
-def lue(instance: PathInstance, req: EnvelopeRequest) -> PwlFunction:
-    """Left-side envelope for a request (side must be "left")."""
-    if req.side != "left":
-        raise EnvelopeError("lue requires side='left'")
-    return left_envelope_raw(
-        instance, req.varying, req.vertex, req.base, req.lo, req.hi
-    )
-
-
-def rue(instance: PathInstance, req: EnvelopeRequest) -> PwlFunction:
-    """Right-side envelope for a request (side must be "right")."""
-    if req.side != "right":
-        raise EnvelopeError("rue requires side='right'")
-    return right_envelope_raw(
-        instance, req.varying, req.vertex, req.base, req.lo, req.hi
-    )
-
-
-def left_time_value(
-    instance: PathInstance, varying: int, vertex: int, base: Scenario, alpha: RationalLike
-) -> Fraction:
-    """True pointwise left time (zero-weight rule honored, unlike the envelope)."""
-    value, _ = _left_time_at_vertex(instance, vertex, substitute(base, varying, alpha))
-    return value
-
-
-def right_time_value(
-    instance: PathInstance, varying: int, vertex: int, base: Scenario, alpha: RationalLike
-) -> Fraction:
-    value, _ = _right_time_at_vertex(instance, vertex, substitute(base, varying, alpha))
-    return value
-
-
-def theta_of_alpha(
-    instance: PathInstance,
-    x: Union[Point, RationalLike],
-    varying: int,
-    base: Scenario,
-    domain: tuple[RationalLike, RationalLike],
-) -> PwlFunction:
-    """Evacuation time at x as a function of the weight at v_varying: the max
-    of the two one-sided envelopes, with interior points reduced to the
-    flanking vertices minus the travel offset (floored at zero)."""
-    lo, hi = to_fraction(domain[0]), to_fraction(domain[1])
-    point = as_point(instance, x)
-    if point.vertex_index is not None:
-        j = point.vertex_index
-        left = left_envelope_raw(instance, varying, j, base, lo, hi)
-        right = right_envelope_raw(instance, varying, j, base, lo, hi)
-        return pwl.merge_max(left, right)
-    k = instance.locate(point.value)[1]
-    left = left_envelope_raw(instance, varying, k + 1, base, lo, hi)
-    right = right_envelope_raw(instance, varying, k, base, lo, hi)
-    zero = pwl.constant(0, lo, hi)
-    shifted_left = pwl.merge_max(
-        pwl.add_const(left, point.value - instance.positions[k + 1]), zero
-    )
-    shifted_right = pwl.merge_max(
-        pwl.add_const(right, instance.positions[k] - point.value), zero
-    )
-    return pwl.merge_max(shifted_left, shifted_right)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -9,6 +10,11 @@ from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+
+# Largest decimal exponent accepted in a string literal: "1e-N" builds a
+# (N+1)-digit integer, so an unbounded N would stall parsing for minutes.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
 class PathModelError(ValueError):
@@ -25,6 +31,14 @@ def to_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        match = _EXPONENT.search(value)
+        if match:
+            digits = match.group(1).replace("_", "").lstrip("0")
+            too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+            if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                raise PathModelError(
+                    f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: {value[:40]!r}"
+                )
         return Fraction(value)
     raise PathModelError(f"not an exact rational: {value!r}")
 
@@ -233,13 +247,6 @@ def validate(instance: PathInstance) -> list[str]:
     return errors
 
 
-def validated(instance: PathInstance) -> PathInstance:
-    errors = validate(instance)
-    if errors:
-        raise PathModelError("; ".join(errors))
-    return instance
-
-
 # Scenario operations ---------------------------------------------------------
 
 
@@ -356,14 +363,19 @@ def shift(
 
 
 def reflect_instance(instance: PathInstance) -> PathInstance:
-    """The left-right mirror image of the path (vertex k maps to n-k)."""
-    end = instance.positions[-1]
-    return PathInstance(
-        positions=tuple(end - p for p in reversed(instance.positions)),
-        capacities=tuple(reversed(instance.capacities)),
-        weight_lo=tuple(reversed(instance.weight_lo)),
-        weight_hi=tuple(reversed(instance.weight_hi)),
-    )
+    """The left-right mirror image of the path (vertex k maps to n-k), built
+    once per instance and kept on it, like its hash."""
+    cached = instance.__dict__.get("_mirror")
+    if cached is None:
+        end = instance.positions[-1]
+        cached = PathInstance(
+            positions=tuple(end - p for p in reversed(instance.positions)),
+            capacities=tuple(reversed(instance.capacities)),
+            weight_lo=tuple(reversed(instance.weight_lo)),
+            weight_hi=tuple(reversed(instance.weight_hi)),
+        )
+        object.__setattr__(instance, "_mirror", cached)
+    return cached
 
 
 def reflect_scenario(s: Scenario) -> Scenario:

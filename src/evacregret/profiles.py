@@ -26,9 +26,10 @@ from .envelopes import SolveCache, cache_for, cached_envelope
 from .evacuation import _left_time_at_vertex, _right_time_at_vertex, theta_min_on_edge
 from .path_model import (
     PathInstance,
-    PathModelError,
     RationalLike,
     Scenario,
+    reflect_instance,
+    reflect_scenario,
     substitute,
     to_fraction,
     two_varying,
@@ -168,10 +169,7 @@ def _min_max_core(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFun
             pwl.constant(f_left(a1), box.alpha_lo, box.alpha_hi),
         )
     if b1 == b2:
-        return pwl.merge_max(
-            pwl.shift_arg(pwl.restrict(f_left, a1, a2), b1),
-            pwl.constant(f_right(b1), box.alpha_lo, box.alpha_hi),
-        )
+        return _min_max_core(f_right, f_left, Box(b1, b2, a1, a2))
 
     const_l, pos_l = _flat_split(pwl.restrict(f_left, a1, a2))
     const_r, pos_r = _flat_split(pwl.restrict(f_right, b1, b2))
@@ -345,36 +343,21 @@ def _min_max_offset_core(
             out = pwl.merge_max(out, p)
         return pwl.canonical(out)
     if b1 == b2:
-        moved = pwl.shift_arg(fl, b1)
-        parts = [
-            pwl.constant(fr(b1) - y_hi, moved.lo, moved.hi),
-            pwl.scale(pwl.add_const(moved, fr(b1)), Fraction(1, 2)),
-            pwl.add_const(moved, y_lo),
-        ]
-        out = parts[0]
-        for p in parts[1:]:
-            out = pwl.merge_max(out, p)
-        return pwl.canonical(out)
+        # y -> -y swaps the roles of the two sides
+        return _min_max_offset_core(fr, fl, Box(b1, b2, a1, a2), -y_hi, -y_lo)
 
     witnesses: list[PartialPwl] = [
         pwl.total(_min_max_core(pwl.add_const(fl, y_lo), pwl.add_const(fr, -y_lo), box)),
         pwl.total(_min_max_core(pwl.add_const(fl, y_hi), pwl.add_const(fr, -y_hi), box)),
     ]
-    for pinned_arg, moving, is_right in (
-        (a1, fr, True),
-        (a2, fr, True),
+    for pinned, moving, pinned_arg, is_right in (
+        (fl, fr, a1, True),
+        (fl, fr, a2, True),
+        (fr, fl, b1, False),
+        (fr, fl, b2, False),
     ):
         piece = _balanced_piece(
-            fl(pinned_arg), moving, pinned_arg, None, y_lo, y_hi, is_right
-        )
-        if piece is not None:
-            witnesses.append(pwl.total(piece))
-    for pinned_arg, moving, is_right in (
-        (b1, fl, False),
-        (b2, fl, False),
-    ):
-        piece = _balanced_piece(
-            fr(pinned_arg), moving, pinned_arg, None, y_lo, y_hi, is_right
+            pinned(pinned_arg), moving, pinned_arg, None, y_lo, y_hi, is_right
         )
         if piece is not None:
             witnesses.append(pwl.total(piece))
@@ -529,16 +512,12 @@ def edge_min_profile(
 def _single_vertex_part(
     base: Scenario, varying: int, k: int, lo: Fraction, hi: Fraction, cache: SolveCache
 ) -> PwlFunction:
-    """Evacuation time at x_k with one varying weight: pointwise max of the
-    varying side's envelope and the fixed side's true constant."""
+    """Evacuation time at x_k with one varying weight at or left of x_k:
+    pointwise max of the left envelope and the right side's true constant."""
 
     def build() -> PwlFunction:
-        if varying <= k:
-            moving = cached_envelope(cache, "left", varying, k, base, lo, hi)
-            fixed, _ = _right_time_at_vertex(cache.instance, k, base)
-        else:
-            moving = cached_envelope(cache, "right", varying, k, base, lo, hi)
-            fixed, _ = _left_time_at_vertex(cache.instance, k, base)
+        moving = cached_envelope(cache, "left", varying, k, base, lo, hi)
+        fixed, _ = _right_time_at_vertex(cache.instance, k, base)
         return pwl.merge_max(moving, pwl.constant(fixed, lo, hi))
 
     return cache.get(("single_vertex_part", base, varying, k, lo, hi), build)
@@ -547,34 +526,23 @@ def _single_vertex_part(
 def _edge_profile_single_core(
     base: Scenario, varying: int, k: int, lo: Fraction, hi: Fraction, cache: SolveCache
 ) -> PwlFunction:
-    """Single-varying edge profile without the two-coordinate machinery: both
-    vertex parts plus the interior, whose offset minimum against a constant
-    side is the clamped balanced point in closed form."""
+    """Single-varying edge profile (varying weight at or left of x_k) without
+    the two-coordinate machinery: both vertex parts plus the interior, whose
+    offset minimum against a constant side is the clamped balanced point."""
     instance = cache.instance
     xk, xk1 = instance.positions[k], instance.positions[k + 1]
     at_left = _single_vertex_part(base, varying, k, lo, hi, cache)
     at_right = _single_vertex_part(base, varying, k + 1, lo, hi, cache)
-    if varying <= k:
-        moving = pwl.add_const(
-            cached_envelope(cache, "left", varying, k + 1, base, lo, hi), -xk1
-        )
-        fixed = _right_time_at_vertex(instance, k, base)[0] + xk
-        # min over y of max(moving + y, fixed - y)
-        parts = [
-            pwl.add_const(moving, xk),
-            pwl.scale(pwl.add_const(moving, fixed), Fraction(1, 2)),
-            pwl.constant(fixed - xk1, lo, hi),
-        ]
-    else:
-        moving = pwl.add_const(
-            cached_envelope(cache, "right", varying, k, base, lo, hi), xk
-        )
-        fixed = _left_time_at_vertex(instance, k + 1, base)[0] - xk1
-        parts = [
-            pwl.add_const(moving, -xk1),
-            pwl.scale(pwl.add_const(moving, fixed), Fraction(1, 2)),
-            pwl.constant(fixed + xk, lo, hi),
-        ]
+    moving = pwl.add_const(
+        cached_envelope(cache, "left", varying, k + 1, base, lo, hi), -xk1
+    )
+    fixed = _right_time_at_vertex(instance, k, base)[0] + xk
+    # min over y of max(moving + y, fixed - y)
+    parts = [
+        pwl.add_const(moving, xk),
+        pwl.scale(pwl.add_const(moving, fixed), Fraction(1, 2)),
+        pwl.constant(fixed - xk1, lo, hi),
+    ]
     interior = parts[0]
     for p in parts[1:]:
         interior = pwl.merge_max(interior, p)
@@ -608,4 +576,11 @@ def edge_min_profile_single(
     if lo == hi:
         pinned = substitute(base, j, lo)
         return pwl.constant(theta_min_on_edge(instance, k, pinned)[1], lo, hi)
+    if j > k:
+        # the varying weight lies right of the edge: build on the mirror image
+        n = instance.n
+        mirror = reflect_instance(instance)
+        return _edge_profile_single_core(
+            reflect_scenario(base), n - j, n - 1 - k, lo, hi, SolveCache(mirror)
+        )
     return _edge_profile_single_core(base, j, k, lo, hi, cache)

@@ -20,16 +20,14 @@ class PwlError(ValueError):
 
 @dataclass(frozen=True)
 class Line:
-    """A line slope*x + intercept, optionally tagged with its source index."""
+    """A line slope*x + intercept."""
 
     slope: Fraction
     intercept: Fraction
-    tag: Optional[int] = None
 
-    def __init__(self, slope: RationalLike, intercept: RationalLike, tag: Optional[int] = None):
+    def __init__(self, slope: RationalLike, intercept: RationalLike):
         object.__setattr__(self, "slope", to_fraction(slope))
         object.__setattr__(self, "intercept", to_fraction(intercept))
-        object.__setattr__(self, "tag", tag)
 
     def at(self, x: Fraction) -> Fraction:
         return self.slope * x + self.intercept

@@ -16,7 +16,13 @@ from typing import Optional, Union
 
 from . import pwl
 from .envelopes import SolveCache, cache_for, cached_envelope
-from .evacuation import _unimodal_edge_search, optimal_sink, theta, theta_min_on_edge
+from .evacuation import (
+    _unimodal_edge_search,
+    left_vertex_time,
+    optimal_sink,
+    theta,
+    theta_min_on_edge,
+)
 from .path_model import (
     PathInstance,
     PathModelError,
@@ -102,20 +108,21 @@ class VertexRegret:
 # Left-side family evaluators ----------------------------------------------------
 
 
+def _check_left_family(
+    instance: PathInstance, j: int, x: Fraction, i: Optional[int] = None
+) -> None:
+    """A left family needs 0 <= j < n, 0 <= i < j for a pair, and x_j < x <= x_n."""
+    if not (0 <= j < instance.n and (i is None or 0 <= i < j)):
+        raise PathModelError(f"left family indices out of range: {i}, {j}")
+    if not instance.positions[j] < x <= instance.positions[-1]:
+        raise PathModelError(f"left family needs x_{j} < x <= x_n, got x = {x}")
+
+
 def _single_line(instance: PathInstance, j: int, x: Fraction, base: Scenario) -> Line:
     """The arrival-time line of vertex j at sink x as its free weight grows."""
     cap = min_capacity(instance, instance.positions[j], x)
     intercept = (x - instance.positions[j]) + prefix_weight(base, 0, j) / cap
-    return Line(1 / cap, intercept, tag=j)
-
-
-def _arrival_true(instance: PathInstance, j: int, x: Fraction, s: Scenario) -> Fraction:
-    """True arrival time of vertex j's prefix at x (zero when weightless)."""
-    weight = prefix_weight(s, 0, j)
-    if weight == 0:
-        return Fraction(0)
-    cap = min_capacity(instance, instance.positions[j], x)
-    return (x - instance.positions[j]) + weight / cap
+    return Line(1 / cap, intercept)
 
 
 def _term_line(
@@ -133,7 +140,7 @@ def _term_line(
     applies; otherwise the linear extension is the family's one-sided limit at
     a vanishing boundary and exact everywhere else."""
     if lo == hi:
-        value = _arrival_true(instance, j, x, substitute(base, varying, lo))
+        value = left_vertex_time(instance, j, x, substitute(base, varying, lo))
         return pwl.constant(value, lo, hi)
     return pwl.from_line(_single_line(instance, j, x, base), lo, hi)
 
@@ -165,6 +172,7 @@ def eval_left_single(
     sink candidates for the subtrahend range over [x_j, x_n].  `cache`, when
     given, is the instance's SolveCache; it changes no result."""
     x = to_fraction(x)
+    _check_left_family(instance, j, x)
     cache = cache_for(instance, cache)
     base = two_varying(instance, j, j, 0, 0)
     lo, hi = instance.weight_lo[j], instance.weight_hi[j]
@@ -175,7 +183,6 @@ def eval_left_single(
         value, args = pwl.max_difference_all(line, profile)
         if best is None or value > best.value:
             best = _Term(value, FAMILY_LEFT_SINGLE, None, j, u, tuple(args))
-    assert best is not None
     return best
 
 
@@ -190,6 +197,7 @@ def eval_left_pair(
     """Family: pair (i, j) with the weight at v_j pinned to its upper bound
     and the weight at v_i free.  `cache` as for eval_left_single."""
     x = to_fraction(x)
+    _check_left_family(instance, j, x, i)
     cache = cache_for(instance, cache)
     base = two_varying(instance, i, j, 0, instance.weight_hi[j])
     lo, hi = instance.weight_lo[i], instance.weight_hi[i]
@@ -200,7 +208,6 @@ def eval_left_pair(
         value, args = pwl.max_difference_all(line, profile)
         if best is None or value > best.value:
             best = _Term(value, FAMILY_LEFT_PAIR, i, j, u, tuple(args))
-    assert best is not None
     return best
 
 
@@ -220,7 +227,7 @@ def left_arrival_envelope(
     if box.alpha_lo == box.alpha_hi:
         # both weights pinned: a single scenario, evaluated with the true rule
         s = two_varying(instance, i, j, box.a1, box.b1)
-        value = max(_arrival_true(instance, t, x, s) for t in range(j, t_max + 1))
+        value = max(left_vertex_time(instance, t, x, s) for t in range(j, t_max + 1))
         return pwl.constant(value, box.alpha_lo, box.alpha_hi)
     lines = [_single_line(instance, t, x, base) for t in range(t_max, j - 1, -1)]
     return pwl.upper_envelope(lines, (box.alpha_lo, box.alpha_hi))
@@ -246,6 +253,7 @@ def eval_left_pair_inner(
     """Family: pair (i, j) with both weights free and the subtrahend's sink
     ranging over [x_i, x_j].  `cache` as for eval_left_single."""
     x = to_fraction(x)
+    _check_left_family(instance, j, x, i)
     cache = cache_for(instance, cache)
     box = _pair_box(instance, i, j)
     envelope = left_arrival_envelope(instance, i, j, x)
@@ -255,7 +263,6 @@ def eval_left_pair_inner(
         value, args = pwl.max_difference_all(envelope, profile)
         if best is None or value > best.value:
             best = _Term(value, FAMILY_LEFT_PAIR_INNER, i, j, u, tuple(args))
-    assert best is not None
     return best
 
 
@@ -284,38 +291,6 @@ def _mirror_term(instance: PathInstance, term: _Term) -> _Term:
         n - 1 - term.edge,
         term.alphas,
     )
-
-
-def eval_right_single(instance: PathInstance, i: int, x: RationalLike) -> _Term:
-    """Mirror of eval_left_single: only the weight at v_i varies, sink
-    candidates left of x_i."""
-    mirror = reflect_instance(instance)
-    x = to_fraction(x)
-    term = eval_left_single(mirror, instance.n - i, instance.positions[-1] - x)
-    return _mirror_term(instance, term)
-
-
-def eval_right_pair(instance: PathInstance, i: int, j: int, x: RationalLike) -> _Term:
-    """Mirror of eval_left_pair for a pair x < x_i < x_j with the weight at
-    v_i pinned to its upper bound."""
-    mirror = reflect_instance(instance)
-    x = to_fraction(x)
-    term = eval_left_pair(
-        mirror, instance.n - j, instance.n - i, instance.positions[-1] - x
-    )
-    return _mirror_term(instance, term)
-
-
-def eval_right_pair_inner(
-    instance: PathInstance, i: int, j: int, x: RationalLike
-) -> _Term:
-    """Mirror of eval_left_pair_inner for a pair right of the sink."""
-    mirror = reflect_instance(instance)
-    x = to_fraction(x)
-    term = eval_left_pair_inner(
-        mirror, instance.n - j, instance.n - i, instance.positions[-1] - x
-    )
-    return _mirror_term(instance, term)
 
 
 # Witness reconstruction ---------------------------------------------------------

@@ -33,9 +33,9 @@ from evacregret import (
     pwl,
     regret,
     theta,
-    two_varying,
 )
 from evacregret.oracle import GridConfig, GridOracle, SimConfig, check_shift, simulate_evacuation
+from evacregret.path_model import two_varying
 from evacregret.profiles import Box, min_max_profile, min_max_y_profile
 from evacregret.pwl import Line
 from evacregret.worst_case import RegretSolver

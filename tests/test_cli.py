@@ -157,6 +157,21 @@ def test_boolean_capacity_rejected(tmp_path):
     assert run(["minmax-regret", "--instance", str(path)]) == 1
 
 
+def test_huge_decimal_exponent_rejected(tmp_path, capsys):
+    # parsing "1e-3000000" would build a 3-million-digit integer first
+    doc = {
+        "vertices": [
+            {"position": "0", "w_min": "0", "w_max": "1e-3000000"},
+            {"position": "1", "w_min": "0", "w_max": "2"},
+        ],
+        "capacities": ["1"],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", "--instance", str(path)]) == 1
+    assert "exponent" in capsys.readouterr().out
+
+
 def test_sink_outside_path_rejected(t1_file, scenario_file):
     assert run([
         "evacuate", "--instance", t1_file, "--scenario", scenario_file, "--sink", "9",

@@ -4,24 +4,21 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import pytest
-
-from evacregret import Scenario, theta, two_varying
-from evacregret.envelopes import (
-    EnvelopeError,
-    EnvelopeRequest,
-    left_envelope_raw,
-    left_time_value,
-    lue,
-    right_envelope_raw,
-    right_time_value,
-    rue,
-    theta_of_alpha,
-)
+from evacregret import Scenario, pwl, theta
+from evacregret.envelopes import left_envelope_raw, right_envelope_raw
 from evacregret.evacuation import _left_time_at_vertex, _right_time_at_vertex
-from evacregret.path_model import substitute
+from evacregret.path_model import substitute, two_varying
 
 from conftest import random_instance, random_scenario, rational
+
+
+def vertex_time_envelope(inst, vertex, varying, base, lo, hi):
+    """Evacuation time at x_vertex as a function of the weight at v_varying:
+    the max of the two one-sided envelopes."""
+    return pwl.merge_max(
+        left_envelope_raw(inst, varying, vertex, base, lo, hi),
+        right_envelope_raw(inst, varying, vertex, base, lo, hi),
+    )
 
 
 def test_lue_example_two_lines(t1):
@@ -63,32 +60,29 @@ def test_rue_all_zero_single_line(t1):
     assert env.values == (1, 2)  # 1 + alpha/2
 
 
-def test_request_validation(t1):
-    req = EnvelopeRequest(Scenario([0, 0, 0]), 0, 1, "left", 0, 2)
-    assert lue(t1, req).values == (1, 3)
-    with pytest.raises(EnvelopeError):
-        rue(t1, req)
-    with pytest.raises(EnvelopeError):
-        EnvelopeRequest(Scenario([0, 0, 0]), 0, 1, "left", 2, 0)
-
-
 def test_theta_of_alpha_example(t1):
-    f = theta_of_alpha(t1, 1, 0, Scenario([0, 0, 1]), (0, 2))
+    f = vertex_time_envelope(t1, 1, 0, Scenario([0, 0, 1]), 0, 2)
     assert f.breakpoints == (0, Fraction(1, 2), 2)
     assert f.values == (Fraction(3, 2), Fraction(3, 2), 3)
 
 
 def test_theta_of_alpha_weight_at_sink_constant(t1):
-    f = theta_of_alpha(t1, 1, 1, Scenario([0, 0, 0]), (0, 2))
+    f = vertex_time_envelope(t1, 1, 1, Scenario([0, 0, 0]), 0, 2)
     assert f.values == (0, 0)
 
 
 def test_theta_of_alpha_interior_point(t1):
-    f = theta_of_alpha(t1, Fraction(1, 2), 0, Scenario([0, 0, 1]), (0, 2))
-    for alpha in (0, Fraction(1, 2), 1, 2):
-        s = substitute(Scenario([0, 0, 1]), 0, alpha)
-        if alpha > 0:
-            assert f(alpha) == theta(t1, Fraction(1, 2), s).theta
+    """Inside edge 0 the time is the flanking vertices' envelopes minus the
+    travel offset, floored at zero."""
+    x = Fraction(1, 2)
+    base = Scenario([0, 0, 1])
+    left = left_envelope_raw(t1, 0, 1, base, 0, 2)
+    right = right_envelope_raw(t1, 0, 0, base, 0, 2)
+    for alpha in (Fraction(1, 2), 1, 2):
+        s = substitute(base, 0, alpha)
+        from_left = left(alpha) - (t1.positions[1] - x)
+        from_right = right(alpha) - (x - t1.positions[0])
+        assert max(from_left, from_right, 0) == theta(t1, x, s).theta
 
 
 def test_envelopes_agree_with_closed_form():
@@ -122,8 +116,8 @@ def test_theta_of_alpha_nondecreasing():
         inst = random_instance(rng, zero_lower=rng.random() < 0.5)
         base = random_scenario(rng, inst)
         varying = rng.randint(0, inst.n)
-        x = rational(rng, 0, inst.positions[-1], 8)
-        f = theta_of_alpha(inst, x, varying, base, (0, 3))
+        vertex = rng.randint(0, inst.n)
+        f = vertex_time_envelope(inst, vertex, varying, base, 0, 3)
         assert f.is_good()
 
 
@@ -135,11 +129,13 @@ def test_zero_weight_clamp():
     zero = Scenario([0] * inst.vertex_count)
     vertex = inst.n
     env = left_envelope_raw(inst, 0, vertex, zero, 0, 2)
-    assert left_time_value(inst, 0, vertex, zero, 0) == 0
+    assert _left_time_at_vertex(inst, vertex, zero)[0] == 0
     assert env(0) == inst.positions[vertex] - inst.positions[0]  # linear extension
     for alpha in (Fraction(1, 8), 1, 2):
-        assert env(alpha) == left_time_value(inst, 0, vertex, zero, alpha)
+        s = substitute(zero, 0, alpha)
+        assert env(alpha) == _left_time_at_vertex(inst, vertex, s)[0]
     env_r = right_envelope_raw(inst, inst.n, 0, zero, 0, 2)
-    assert right_time_value(inst, inst.n, 0, zero, 0) == 0
+    assert _right_time_at_vertex(inst, 0, zero)[0] == 0
     for alpha in (Fraction(1, 8), 1, 2):
-        assert env_r(alpha) == right_time_value(inst, inst.n, 0, zero, alpha)
+        s = substitute(zero, inst.n, alpha)
+        assert env_r(alpha) == _right_time_at_vertex(inst, 0, s)[0]

@@ -6,16 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from evacregret import (
-    PathModelError,
-    Scenario,
-    left_vertex_time,
-    optimal_sink,
-    regret,
-    right_vertex_time,
-    theta,
-    theta_min_on_edge,
-)
+from evacregret import PathModelError, Scenario, optimal_sink, regret, theta
+from evacregret.evacuation import left_vertex_time, right_vertex_time, theta_min_on_edge
 from evacregret.path_model import reflect_instance, reflect_scenario
 
 from conftest import dense_theta_min, random_instance, random_scenario, rational

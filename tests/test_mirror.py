@@ -1,0 +1,79 @@
+"""Mirror symmetry on generated small instances, including the degenerate
+ones: zero-width intervals, zero lower bounds and all-zero weights.  The
+solver derives the right side of the path from the left by reflection; these
+properties check that the solver on the mirror image gives mirrored answers
+and that a profile built on the mirror matches the closed form."""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evacregret import PathInstance, RegretSolver, Scenario
+from evacregret.evacuation import theta_min_on_edge
+from evacregret.path_model import reflect_instance, substitute
+from evacregret.profiles import edge_min_profile_single
+
+QUARTERS = st.integers(1, 8).map(lambda q: Fraction(q, 4))
+WEIGHTS = st.integers(0, 8).map(lambda q: Fraction(q, 4))
+DERANDOMIZED = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def instances(draw, min_n: int = 0) -> PathInstance:
+    n = draw(st.integers(min_n, 5))
+    positions = [Fraction(0)]
+    for length in draw(st.lists(QUARTERS, min_size=n, max_size=n)):
+        positions.append(positions[-1] + length)
+    capacities = draw(st.lists(QUARTERS, min_size=n, max_size=n))
+    all_zero = draw(st.integers(0, 9)) == 0
+    weight_lo, weight_hi = [], []
+    for _ in range(n + 1):
+        lo, hi = sorted((draw(WEIGHTS), draw(WEIGHTS)))
+        kind = draw(st.sampled_from(["free", "zero_lower", "pinned"]))
+        if all_zero:
+            lo = hi = Fraction(0)
+        elif kind == "zero_lower":
+            lo = Fraction(0)
+        elif kind == "pinned":
+            hi = lo
+        weight_lo.append(lo)
+        weight_hi.append(hi)
+    return PathInstance(positions, capacities, weight_lo, weight_hi)
+
+
+@DERANDOMIZED
+@given(instances())
+def test_max_regret_mirror_symmetric(inst):
+    """max_regret(reflect(I), L - x) == max_regret(I, x) at every vertex and
+    at one interior point per edge."""
+    solver = RegretSolver(inst)
+    mirrored = RegretSolver(reflect_instance(inst))
+    end = inst.positions[-1]
+    points = list(inst.positions)
+    points += [(inst.positions[k] + 2 * inst.positions[k + 1]) / 3 for k in range(inst.n)]
+    for x in points:
+        assert mirrored.max_regret(end - x).value == solver.max_regret(x).value
+
+
+@DERANDOMIZED
+@given(st.data())
+def test_single_profile_right_of_edge_matches_edge_minimum(data):
+    """With the varying weight right of the edge (built on the mirror image),
+    the single-varying edge profile is the closed-form edge minimum wherever
+    the varying weight is positive, and everywhere on a pinned range."""
+    inst = data.draw(instances(min_n=1))
+    k = data.draw(st.integers(0, inst.n - 1))
+    j = data.draw(st.integers(k + 1, inst.n))
+    base = Scenario(
+        [data.draw(st.sampled_from((lo, hi))) for lo, hi in zip(inst.weight_lo, inst.weight_hi)]
+    )
+    lo, hi = inst.weight_lo[j], inst.weight_hi[j]
+    profile = edge_min_profile_single(inst, j, k, base, (lo, hi))
+    assert (profile.lo, profile.hi) == (lo, hi)
+    for t in range(5):
+        alpha = lo + (hi - lo) * Fraction(t, 4)
+        if alpha > 0 or lo == hi:
+            expected = theta_min_on_edge(inst, k, substitute(base, j, alpha))[1]
+            assert profile(alpha) == expected

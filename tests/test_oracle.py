@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from evacregret import Scenario, shift, theta
+from evacregret import Scenario, theta
 from evacregret.oracle import (
     GridConfig,
     GridOracle,
@@ -17,7 +17,7 @@ from evacregret.oracle import (
     simulate_evacuation,
     sweep_ropt,
 )
-from evacregret.path_model import reflect_instance
+from evacregret.path_model import reflect_instance, shift
 
 from conftest import random_instance, random_scenario, rational
 

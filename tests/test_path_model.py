@@ -6,26 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from evacregret import (
-    PathInstance,
-    PathModelError,
-    Scenario,
-    min_capacity,
-    prefix_weight,
-    shift,
-    substitute,
-    two_varying,
-    validate,
-)
+from evacregret import PathInstance, PathModelError, Scenario, validate
 from evacregret.path_model import (
     emit_instance,
     emit_scenario,
     is_legal,
+    min_capacity,
     min_capacity_scan,
     parse_instance,
     parse_scenario,
+    prefix_weight,
     reflect_instance,
     reflect_scenario,
+    shift,
+    substitute,
+    to_fraction,
+    two_varying,
 )
 
 from conftest import random_instance, random_scenario
@@ -152,6 +148,14 @@ def test_instance_edge_lengths():
         }
     )
     assert inst.positions == (0, Fraction(1, 2), 2)
+
+
+def test_decimal_exponent_bound():
+    assert to_fraction("1e-1000") == Fraction(1, 10**1000)
+    assert to_fraction("25E+3") == 25000
+    for literal in ("1e-1001", "1E1_001", "1e+100000000", "1e" + "0" * 40 + "5000"):
+        with pytest.raises(PathModelError):
+            to_fraction(literal)
 
 
 def test_malformed_instance():

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from evacregret import Scenario, pwl, theta, theta_min_on_edge, two_varying
+from evacregret import Scenario, pwl, theta
+from evacregret.evacuation import theta_min_on_edge
+from evacregret.path_model import two_varying
 from evacregret.profiles import (
     Box,
     ProfileError,

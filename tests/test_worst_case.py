@@ -2,25 +2,29 @@
 from __future__ import annotations
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
 import pytest
 
+import evacregret
 from evacregret import (
     PathInstance,
+    PathModelError,
     Scenario,
     max_regret,
     min_max_regret,
     optimal_sink,
     regret,
     theta,
-    two_varying,
 )
 from evacregret import worst_case
 from evacregret.oracle import GridConfig, GridOracle
-from evacregret.path_model import reflect_instance
+from evacregret.path_model import reflect_instance, two_varying
 from evacregret.worst_case import (
     RegretSolver,
     eval_left_pair,
@@ -62,7 +66,7 @@ def test_left_pair_exact_on_positive_bounds():
     """With positive lower bounds the pair evaluator equals the true family
     maximum: at least every sampled value, and exactly reproduced when the
     reported argmax is replayed through the closed forms."""
-    from evacregret import left_vertex_time, theta_min_on_edge
+    from evacregret.evacuation import left_vertex_time, theta_min_on_edge
 
     rng = random.Random(307)
     for _ in range(10):
@@ -105,18 +109,46 @@ def test_arrival_envelope_single_line(t1):
 
 
 def test_right_side_evaluators_fixtures(t1):
-    from evacregret import (
-        eval_right_pair,
-        eval_right_pair_inner,
-        eval_right_single,
-    )
-
-    assert eval_right_single(t1, 2, 0).value == 4
-    assert eval_right_single(t1, 1, 0).value == 3
-    assert eval_right_pair(t1, 1, 2, 0).value == 3
-    assert eval_right_pair_inner(t1, 1, 2, 0).value == Fraction(7, 2)
-    term = eval_right_single(t1, 2, 0)
+    """The right-side families at x_0 are the left-side evaluators on the
+    mirror image, at its far end x_n (vertex k maps to n - k)."""
+    mirror = reflect_instance(t1)
+    end = t1.positions[-1]
+    assert eval_left_single(mirror, 0, end).value == 4
+    assert eval_left_single(mirror, 1, end).value == 3
+    assert eval_left_pair(mirror, 0, 1, end).value == 3
+    assert eval_left_pair_inner(mirror, 0, 1, end).value == Fraction(7, 2)
+    term = worst_case._mirror_term(t1, eval_left_single(mirror, 0, end))
     assert (term.family, term.j, term.edge) == ("right_single", 2, 1)
+
+
+def test_left_families_reject_sink_at_or_left_of_vertex(t1):
+    """A left family needs its vertex strictly left of the sink."""
+    with pytest.raises(PathModelError):
+        eval_left_single(t1, 2, 2)
+    with pytest.raises(PathModelError):
+        eval_left_single(t1, 1, Fraction(1, 2))
+    with pytest.raises(PathModelError):
+        eval_left_pair(t1, 0, 2, 2)
+    with pytest.raises(PathModelError):
+        eval_left_pair_inner(t1, 1, 1, 2)
+    with pytest.raises(PathModelError):
+        eval_left_single(t1, 0, 3)  # beyond x_n
+
+
+def test_min_max_regret_without_asserts(t1):
+    """No result depends on an assert: under python -O the t1 answer holds."""
+    src = os.path.dirname(os.path.dirname(evacregret.__file__))
+    code = (
+        "from evacregret import PathInstance, min_max_regret\n"
+        "r = min_max_regret(PathInstance([0, 1, 2], [1, 2], [0, 0, 0], [2, 2, 2]))\n"
+        "print(r.value, r.location.value)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.split() == ["3", "1"]
 
 
 def test_single_vertex_instance():
