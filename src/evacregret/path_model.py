@@ -79,13 +79,6 @@ class RangeMin:
         return min(row[start], row[stop - (1 << depth)])
 
 
-def range_min_scan(data: Sequence[Fraction], start: int, stop: int) -> Optional[Fraction]:
-    """Linear-scan fallback with the same contract as RangeMin.query."""
-    if start >= stop:
-        return None
-    return min(data[start:stop])
-
-
 @dataclass(frozen=True)
 class PathInstance:
     """An embedded path: vertex positions, edge capacities, per-vertex weight intervals.
@@ -269,7 +262,7 @@ def min_capacity(
     x: Union[Point, RationalLike],
     x2: Union[Point, RationalLike],
 ) -> Optional[Fraction]:
-    """Minimum edge capacity on the subpath spanning x..x2 (x <= x2).
+    """Minimum edge capacity on the subpath spanning x..x2 (x_0 <= x <= x2 <= x_n).
 
     The spanned edge range is [max{i: x_i <= x}, min{j: x_j >= x2}).  When that
     range is empty (both points under the same vertex) the capacity is
@@ -280,24 +273,11 @@ def min_capacity(
     b = x2.value if isinstance(x2, Point) else to_fraction(x2)
     if a > b:
         raise PathModelError(f"min_capacity requires x <= x', got {a} > {b}")
+    if a < instance.positions[0] or b > instance.positions[-1]:
+        raise PathModelError(f"min_capacity points {a}, {b} are off the path")
     i = instance.last_vertex_at_or_left(a)
     j = instance.first_vertex_at_or_right(b)
     return instance._cap_rmq.query(i, j)
-
-
-def min_capacity_scan(
-    instance: PathInstance,
-    x: Union[Point, RationalLike],
-    x2: Union[Point, RationalLike],
-) -> Optional[Fraction]:
-    """Linear-scan reference for min_capacity (oracle-side)."""
-    a = x.value if isinstance(x, Point) else to_fraction(x)
-    b = x2.value if isinstance(x2, Point) else to_fraction(x2)
-    if a > b:
-        raise PathModelError(f"min_capacity requires x <= x', got {a} > {b}")
-    i = instance.last_vertex_at_or_left(a)
-    j = instance.first_vertex_at_or_right(b)
-    return range_min_scan(instance.capacities, i, j)
 
 
 def two_varying(

@@ -34,7 +34,7 @@ from .path_model import (
     to_fraction,
     two_varying,
 )
-from .pwl import PartialPwl, PwlFunction
+from .pwl import PwlFunction
 
 
 class ProfileError(ValueError):
@@ -131,14 +131,13 @@ def _min_against_const_left(c: Fraction, f_right: PwlFunction, box: Box) -> PwlF
 def _five_witness_profile(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFunction:
     """The witness construction for strictly increasing fL, fR."""
     a1, a2, b1, b2 = box.a1, box.a2, box.b1, box.b2
-    witnesses: list[PartialPwl] = []
+    witnesses: list[PwlFunction] = []
 
-    def pinned(const_val: Fraction, moving: PwlFunction, shift: Fraction) -> PartialPwl:
-        piece = pwl.merge_max(
+    def pinned(const_val: Fraction, moving: PwlFunction, shift: Fraction) -> PwlFunction:
+        return pwl.merge_max(
             pwl.shift_arg(moving, shift),
             pwl.constant(const_val, moving.lo + shift, moving.hi + shift),
         )
-        return pwl.total(piece)
 
     witnesses.append(pinned(f_left(a1), pwl.restrict(f_right, b1, b2), a1))
     witnesses.append(pinned(f_left(a2), pwl.restrict(f_right, b1, b2), a2))
@@ -151,7 +150,7 @@ def _five_witness_profile(f_left: PwlFunction, f_right: PwlFunction, box: Box) -
     if t_lo <= t_hi:
         g = pwl.add(pwl.inverse(pwl.restrict(f_left, a1, a2)),
                     pwl.inverse(pwl.restrict(f_right, b1, b2)))
-        witnesses.append(pwl.total(pwl.inverse(pwl.restrict(g, t_lo, t_hi))))
+        witnesses.append(pwl.inverse(pwl.restrict(g, t_lo, t_hi)))
 
     return pwl.merge_min_to_total(witnesses, box.alpha_lo, box.alpha_hi)
 
@@ -256,52 +255,6 @@ def _balanced_piece(
     return pwl.shift_arg(piece, arg_shift)
 
 
-def _matched_min_sweep(pieces: list[PwlFunction]) -> PartialPwl:
-    """Min-merge pieces whose domains are sorted with only adjacent overlaps.
-
-    Implements the build-left-to-right sweep: on overlap, trim the previous
-    piece, min the overlap exactly, concatenate.  Total work is asserted
-    amortized-linear in the piece sizes.
-    """
-    out: list[PwlFunction] = []
-    ops = 0
-
-    def push(piece: PwlFunction):
-        if out and out[-1].hi == piece.lo and out[-1].values[-1] == piece.values[0] \
-                and piece.size > 0:
-            merged = list(zip(out[-1].breakpoints, out[-1].values)) + list(
-                zip(piece.breakpoints, piece.values)
-            )[1:]
-            out[-1] = pwl.canonical(pwl.from_points(merged))
-        else:
-            out.append(piece)
-
-    for piece in pieces:
-        ops += piece.size + 1
-        if not out or piece.lo >= out[-1].hi:
-            push(piece)
-        else:
-            prev = out.pop()
-            ops += prev.size + 1
-            cut = piece.lo
-            if prev.lo < cut:
-                push(pwl.restrict(prev, prev.lo, cut))
-            overlap_hi = min(prev.hi, piece.hi)
-            overlap = pwl.merge_min_total(
-                pwl.restrict(prev, cut, overlap_hi), pwl.restrict(piece, cut, overlap_hi)
-            )
-            ops += overlap.size + 1
-            push(overlap)
-            if piece.hi > overlap_hi:
-                push(pwl.restrict(piece, overlap_hi, piece.hi))
-            elif prev.hi > overlap_hi:
-                push(pwl.restrict(prev, overlap_hi, prev.hi))
-    if __debug__:
-        budget = sum(p.size + 1 for p in pieces)
-        assert ops <= 8 * budget + 8, "matching sweep exceeded amortized budget"
-    return PartialPwl(tuple(out))
-
-
 def _min_max_offset_core(
     f_left: PwlFunction,
     f_right: PwlFunction,
@@ -346,9 +299,9 @@ def _min_max_offset_core(
         # y -> -y swaps the roles of the two sides
         return _min_max_offset_core(fr, fl, Box(b1, b2, a1, a2), -y_hi, -y_lo)
 
-    witnesses: list[PartialPwl] = [
-        pwl.total(_min_max_core(pwl.add_const(fl, y_lo), pwl.add_const(fr, -y_lo), box)),
-        pwl.total(_min_max_core(pwl.add_const(fl, y_hi), pwl.add_const(fr, -y_hi), box)),
+    witnesses: list[PwlFunction] = [
+        _min_max_core(pwl.add_const(fl, y_lo), pwl.add_const(fr, -y_lo), box),
+        _min_max_core(pwl.add_const(fl, y_hi), pwl.add_const(fr, -y_hi), box),
     ]
     for pinned, moving, pinned_arg, is_right in (
         (fl, fr, a1, True),
@@ -360,12 +313,12 @@ def _min_max_offset_core(
             pinned(pinned_arg), moving, pinned_arg, None, y_lo, y_hi, is_right
         )
         if piece is not None:
-            witnesses.append(pwl.total(piece))
+            witnesses.append(piece)
 
     # breakpoint-matching witness: each interior breakpoint of one curve paired
     # with the slope-bracketed run of the other
-    witnesses.append(_matching_witness(fl, fr, y_lo, y_hi, left_side=True))
-    witnesses.append(_matching_witness(fl, fr, y_lo, y_hi, left_side=False))
+    witnesses += _matching_witness(fl, fr, y_lo, y_hi, left_side=True)
+    witnesses += _matching_witness(fl, fr, y_lo, y_hi, left_side=False)
 
     result = pwl.merge_min_to_total(witnesses, box.alpha_lo, box.alpha_hi)
     if not result.is_good():
@@ -375,10 +328,10 @@ def _min_max_offset_core(
 
 def _matching_witness(
     fl: PwlFunction, fr: PwlFunction, y_lo: Fraction, y_hi: Fraction, left_side: bool
-) -> PartialPwl:
-    """Witness for minimizers pinning a breakpoint of one curve: the matched
-    run of the other curve is the contiguous block of pieces whose slopes fall
-    between the two slopes meeting at the breakpoint."""
+) -> list[PwlFunction]:
+    """Witness pieces for minimizers pinning a breakpoint of one curve: the
+    matched run of the other curve is the contiguous block of pieces whose
+    slopes fall between the two slopes meeting at the breakpoint."""
     anchor, moving = (fl, fr) if left_side else (fr, fl)
     slopes_a = anchor.slopes()
     slopes_m = moving.slopes()
@@ -396,9 +349,7 @@ def _matching_witness(
         )
         if piece is not None:
             pieces.append(piece)
-    if not pieces:
-        return pwl.EMPTY_PARTIAL
-    return _matched_min_sweep(pieces)
+    return pieces
 
 
 def min_max_y_profile(

@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .path_model import RationalLike, to_fraction
 
@@ -82,12 +82,6 @@ class PwlFunction:
 
     def __call__(self, x: RationalLike) -> Fraction:
         return evaluate(self, x)
-
-    def min_value(self) -> Fraction:
-        return min(self.values)
-
-    def max_value(self) -> Fraction:
-        return max(self.values)
 
 
 def from_points(points: Sequence[tuple[Fraction, Fraction]]) -> PwlFunction:
@@ -329,24 +323,11 @@ def merge_max(f: PwlFunction, g: PwlFunction) -> PwlFunction:
 
 
 def merge_min_total(f: PwlFunction, g: PwlFunction) -> PwlFunction:
-    """Pointwise min on the domain intersection (total-function counterpart of
-    the partial min-merge)."""
+    """Pointwise min on the domain intersection."""
     neg_f = PwlFunction(f.breakpoints, tuple(-v for v in f.values))
     neg_g = PwlFunction(g.breakpoints, tuple(-v for v in g.values))
     m = merge_max(neg_f, neg_g)
     return PwlFunction(m.breakpoints, tuple(-v for v in m.values))
-
-
-def max_difference(
-    f: PwlFunction,
-    g: PwlFunction,
-    interval: Optional[tuple[RationalLike, RationalLike]] = None,
-) -> tuple[Fraction, Fraction]:
-    """Max and argmax of f - g over the interval; ties resolve to the smaller
-    argument.  The difference is linear between merged breakpoints, so endpoint
-    evaluation per segment suffices (O(size_f + size_g))."""
-    value, args = max_difference_all(f, g, interval)
-    return value, args[0]
 
 
 def max_difference_all(
@@ -354,7 +335,9 @@ def max_difference_all(
     g: PwlFunction,
     interval: Optional[tuple[RationalLike, RationalLike]] = None,
 ) -> tuple[Fraction, list[Fraction]]:
-    """Like max_difference but returns every breakpoint argmax, ascending."""
+    """Max of f - g over the interval and every breakpoint where it is
+    attained, ascending.  The difference is linear between merged breakpoints,
+    so endpoint evaluation per segment suffices (O(size_f + size_g))."""
     if interval is None:
         lo, hi = max(f.lo, g.lo), min(f.hi, g.hi)
     else:
@@ -364,55 +347,12 @@ def max_difference_all(
     if lo < max(f.lo, g.lo) or hi > min(f.hi, g.hi):
         raise PwlError("max_difference: interval outside a domain")
     qs = _merged_breakpoints(f, g, lo, hi)
-    fv = _values_on(f, qs)
-    gv = _values_on(g, qs)
-    best: Optional[Fraction] = None
-    args: list[Fraction] = []
-    for q, a, b in zip(qs, fv, gv):
-        d = a - b
-        if best is None or d > best:
-            best, args = d, [q]
-        elif d == best:
-            args.append(q)
-    assert best is not None
-    return best, args
+    diffs = [a - b for a, b in zip(_values_on(f, qs), _values_on(g, qs))]
+    best = max(diffs)
+    return best, [q for q, d in zip(qs, diffs) if d == best]
 
 
-# Partial functions ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartialPwl:
-    """Piecewise-linear function with explicit domain gaps.
-
-    Pieces are sorted and disjoint except possibly at shared single endpoints,
-    where the effective value is the min of the touching pieces (consistent
-    with +inf-gap semantics under min-merges).
-    """
-
-    pieces: tuple[PwlFunction, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.pieces, self.pieces[1:]):
-            if a.hi > b.lo:
-                raise PwlError("PartialPwl pieces must not overlap")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.pieces
-
-    def evaluate(self, x: RationalLike) -> Optional[Fraction]:
-        """Value at x, or None inside a gap.  Shared endpoints take the min."""
-        x = to_fraction(x)
-        vals = [evaluate(p, x) for p in self.pieces if p.lo <= x <= p.hi]
-        return min(vals) if vals else None
-
-
-EMPTY_PARTIAL = PartialPwl(())
-
-
-def total(f: PwlFunction) -> PartialPwl:
-    return PartialPwl((f,))
+# Min-merge over partial domains ------------------------------------------------
 
 
 def _lower_envelope_segment(
@@ -432,67 +372,40 @@ def _lower_envelope_segment(
     return [(q, -v) for q, v in zip(env.breakpoints, env.values)]
 
 
-def merge_min(parts: Iterable[PartialPwl]) -> PartialPwl:
-    """Pointwise min over the union of domains, gaps treated as +infinity.
-
-    Sweeps the merged breakpoints once; inside each elementary interval the
-    covering pieces are plain lines whose lower envelope is exact.  Where the
-    min is discontinuous (at a piece boundary), the output keeps touching
-    pieces and PartialPwl.evaluate resolves shared endpoints by taking the min.
-    """
-    segments: list[PwlFunction] = []
-    for part in parts:
-        segments.extend(part.pieces)
-    if not segments:
-        return EMPTY_PARTIAL
-
-    cuts = sorted({q for seg in segments for q in seg.breakpoints})
-    point_min: dict[Fraction, Fraction] = {}
-    for q in cuts:
-        vals = [evaluate(seg, q) for seg in segments if seg.lo <= q <= seg.hi]
-        if vals:
-            point_min[q] = min(vals)
-
-    # one envelope piece per covered elementary interval
-    raw: list[PwlFunction] = []
-    for q1, q2 in zip(cuts, cuts[1:]):
-        covering = [seg for seg in segments if seg.lo <= q1 and q2 <= seg.hi]
-        if covering:
-            raw.append(from_points(_lower_envelope_segment(covering, q1, q2)))
-
-    # point pieces where the pointwise min dips below every adjacent piece
-    pieces: list[PwlFunction] = []
-    for q, pm in point_min.items():
-        adjacent = [p for p in raw if p.lo <= q <= p.hi]
-        if all(evaluate(p, q) > pm for p in adjacent):
-            pieces.append(PwlFunction((q,), (pm,)))
-    pieces.extend(raw)
-    pieces.sort(key=lambda p: (p.lo, p.hi))
-
-    # coalesce neighbors that join continuously
-    out = [pieces[0]]
-    for p in pieces[1:]:
-        prev = out[-1]
-        if prev.hi == p.lo and prev.values[-1] == p.values[0] and p.size > 0:
-            merged = list(zip(prev.breakpoints, prev.values)) + list(
-                zip(p.breakpoints, p.values)
-            )[1:]
-            out[-1] = canonical(from_points(merged))
-        else:
-            out.append(p)
-    return PartialPwl(tuple(out))
-
-
 def merge_min_to_total(
-    parts: Iterable[PartialPwl], lo: RationalLike, hi: RationalLike
+    parts: Sequence[PwlFunction], lo: RationalLike, hi: RationalLike
 ) -> PwlFunction:
-    """Min-merge that must cover [lo, hi] with a single continuous function."""
+    """Pointwise min over [lo, hi] of functions defined on sub-intervals, which
+    must be one continuous function there.
+
+    Sweeps the merged breakpoints inside [lo, hi] once; inside each elementary
+    interval the covering parts are plain lines whose lower envelope is exact.
+    Raises PwlError at a gap, at a jump at an interior breakpoint, or where a
+    single-point part dips below both sides of an interior breakpoint.  The
+    values at lo and hi are those of the adjacent interval, so a dip exactly
+    there is ignored; a one-point [lo, hi] takes the min of the parts there.
+    """
     lo, hi = to_fraction(lo), to_fraction(hi)
-    merged = merge_min(parts)
-    for piece in merged.pieces:
-        if piece.lo <= lo and hi <= piece.hi:
-            return restrict(piece, lo, hi)
-    raise PwlError(
-        f"min-merge left a gap or discontinuity inside [{lo}, {hi}]: "
-        f"{[(str(p.lo), str(p.hi)) for p in merged.pieces]}"
-    )
+    if lo > hi:
+        raise PwlError(f"min-merge over an empty interval [{lo}, {hi}]")
+    if lo == hi:
+        vals = [evaluate(p, lo) for p in parts if p.lo <= lo <= p.hi]
+        if not vals:
+            raise PwlError(f"min-merge leaves {lo} uncovered")
+        return PwlFunction((lo,), (min(vals),))
+    singles = [p for p in parts if p.size == 0]
+    cuts = sorted({lo, hi, *(q for p in parts for q in p.breakpoints if lo < q < hi)})
+    points: list[tuple[Fraction, Fraction]] = []
+    for q1, q2 in zip(cuts, cuts[1:]):
+        covering = [p for p in parts if p.lo <= q1 and q2 <= p.hi]
+        if not covering:
+            raise PwlError(f"min-merge leaves a gap in [{q1}, {q2}]")
+        segment = _lower_envelope_segment(covering, q1, q2)
+        if points:
+            left = points.pop()[1]
+            if left != segment[0][1]:
+                raise PwlError(f"min-merge jumps at {q1}: {left} to {segment[0][1]}")
+            if any(p.lo == q1 and p.values[0] < left for p in singles):
+                raise PwlError(f"min-merge dips below {left} at {q1}")
+        points.extend(segment)
+    return canonical(from_points(points))

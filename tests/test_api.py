@@ -33,6 +33,30 @@ PUBLIC_API = {
 }
 # what perfbench/worker.py calls on the package
 WORKER_NAMES = {"RegretSolver", "parse_instance", "validate", "parse_scenario", "regret"}
+# the names pwl defines without a leading underscore
+PWL_API = {
+    "PwlError",
+    "Line",
+    "PwlFunction",
+    "from_points",
+    "constant",
+    "from_line",
+    "canonical",
+    "evaluate",
+    "restrict",
+    "upper_envelope",
+    "add",
+    "add_const",
+    "scale",
+    "shift_arg",
+    "inverse",
+    "merge_max",
+    "merge_min_total",
+    "max_difference_all",
+    "merge_min_to_total",
+}
+# PwlFunction's methods and properties besides its two fields
+PWL_FUNCTION_API = {"lo", "hi", "size", "slopes", "is_good", "is_positive"}
 
 
 def test_public_api_is_pinned():
@@ -41,6 +65,18 @@ def test_public_api_is_pinned():
     assert WORKER_NAMES <= PUBLIC_API
     for name in evacregret.__all__:
         assert getattr(evacregret, name) is not None
+
+
+def test_pwl_api_is_pinned():
+    pwl = evacregret.pwl
+    defined = {
+        name
+        for name, obj in vars(pwl).items()
+        if not name.startswith("_") and getattr(obj, "__module__", None) == pwl.__name__
+    }
+    assert defined == PWL_API
+    members = {name for name in dir(pwl.PwlFunction) if not name.startswith("_")}
+    assert members == PWL_FUNCTION_API
 
 
 def test_traced_names_resolve():

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from evacregret import PathInstance, PathModelError, Scenario, validate
+from evacregret.evacuation import left_vertex_time
 from evacregret.path_model import (
     emit_instance,
     emit_scenario,
     is_legal,
     min_capacity,
-    min_capacity_scan,
     parse_instance,
     parse_scenario,
     prefix_weight,
@@ -73,6 +73,29 @@ def test_min_capacity_examples(t1):
 
 def test_min_capacity_empty_range_sentinel(t1):
     assert min_capacity(t1, 1, 1) is None
+
+
+def test_min_capacity_refuses_points_off_the_path():
+    inst = PathInstance([0, 1, 2, 3, 4], [5, 1, 3, 4], [0] * 5, [1] * 5)
+    assert min_capacity(inst, 0, 4) == 1
+    with pytest.raises(PathModelError):
+        min_capacity(inst, -1, 1)
+    with pytest.raises(PathModelError):
+        min_capacity(inst, 0, 5)
+    with pytest.raises(PathModelError):
+        left_vertex_time(inst, 0, 5, Scenario([1, 0, 0, 0, 0]))
+
+
+def range_min_scan(data, start, stop):
+    """Linear-scan reference with the same contract as RangeMin.query."""
+    return min(data[start:stop]) if start < stop else None
+
+
+def min_capacity_scan(instance, a, b):
+    """Linear-scan reference for min_capacity on points of the path."""
+    i = instance.last_vertex_at_or_left(a)
+    j = instance.first_vertex_at_or_right(b)
+    return range_min_scan(instance.capacities, i, j)
 
 
 def test_min_capacity_matches_scan():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evacregret import pwl
 from evacregret.pwl import Line, PwlError, PwlFunction
@@ -120,66 +122,136 @@ def test_merge_max_examples():
     assert m.values == (1, 1, 2)
 
 
-def test_merge_min_crossing():
-    a = pwl.total(pwl.from_points([(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))]))
-    b = pwl.total(pwl.from_points([(Fraction(0), Fraction(2)), (Fraction(2), Fraction(0))]))
-    merged = pwl.merge_min([a, b])
-    assert len(merged.pieces) == 1
-    piece = merged.pieces[0]
-    assert piece.breakpoints == (0, 1, 2)
-    assert piece.values == (0, 1, 0)
+def test_merge_min_to_total_crossing():
+    a = pwl.from_points([(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))])
+    b = pwl.from_points([(Fraction(0), Fraction(2)), (Fraction(2), Fraction(0))])
+    merged = pwl.merge_min_to_total([a, b], 0, 2)
+    assert merged.breakpoints == (0, 1, 2)
+    assert merged.values == (0, 1, 0)
 
 
-def test_merge_min_gap():
-    a = pwl.total(pwl.constant(5, 0, 1))
-    b = pwl.total(pwl.constant(3, 2, 3))
-    merged = pwl.merge_min([a, b])
-    assert len(merged.pieces) == 2
-    assert merged.evaluate(Fraction(3, 2)) is None
-    assert merged.evaluate(Fraction(1, 2)) == 5
+def test_merge_min_to_total_gap_raises():
+    parts = [pwl.constant(5, 0, 1), pwl.constant(3, 2, 3)]
+    with pytest.raises(PwlError):
+        pwl.merge_min_to_total(parts, 0, 3)
+    assert pwl.merge_min_to_total(parts, 0, 1).values == (5, 5)
 
 
-def test_merge_min_shared_endpoint_takes_min():
-    a = pwl.total(pwl.constant(5, 0, 1))
-    b = pwl.total(pwl.constant(3, 1, 2))
-    merged = pwl.merge_min([a, b])
-    assert merged.evaluate(1) == 3
+def test_merge_min_to_total_interior_jump_raises():
+    parts = [pwl.constant(5, 0, 1), pwl.constant(3, 1, 2)]
+    with pytest.raises(PwlError):
+        pwl.merge_min_to_total(parts, 0, 2)
+    # a one-point interval takes the min of the parts that contain it
+    assert pwl.merge_min_to_total(parts, 1, 1).values == (3,)
 
 
-def test_merge_min_random_pointwise():
-    rng = random.Random(23)
-    for _ in range(25):
-        parts = []
-        funcs = []
-        for _ in range(rng.randint(1, 4)):
-            lo = rational(rng, 0, 3, 8)
-            hi = lo + rational(rng, 0, 2, 8)
-            if lo == hi:
-                f = PwlFunction((lo,), (rational(rng, 0, 4, 8),))
-            else:
-                f = pwl.from_points(
-                    [(lo, rational(rng, 0, 4, 8)), (hi, rational(rng, 0, 4, 8))]
-                )
-            parts.append(pwl.total(f))
-            funcs.append(f)
-        merged = pwl.merge_min(parts)
-        for _ in range(40):
-            x = rational(rng, 0, 5, 32)
-            naive = [f(x) for f in funcs if f.lo <= x <= f.hi]
-            expected = min(naive) if naive else None
-            assert merged.evaluate(x) == expected
+def test_merge_min_to_total_interior_dip_raises():
+    dip = PwlFunction((Fraction(1),), (Fraction(1),))
+    with pytest.raises(PwlError):
+        pwl.merge_min_to_total([pwl.constant(2, 0, 2), dip], 0, 2)
+    level = PwlFunction((Fraction(1),), (Fraction(2),))
+    assert pwl.merge_min_to_total([pwl.constant(2, 0, 2), level], 0, 2).values == (2, 2)
+
+
+def test_merge_min_to_total_ignores_dip_at_ends():
+    parts = [pwl.constant(2, 0, 2), PwlFunction((Fraction(1),), (Fraction(1),))]
+    for lo, hi in ((0, 1), (1, 2)):
+        merged = pwl.merge_min_to_total(parts, lo, hi)
+        assert merged.breakpoints == (lo, hi)
+        assert merged.values == (2, 2)
+
+
+def test_merge_min_to_total_overlapping_adjacent_pieces():
+    # x on [0, 2] and 5 - 2x on [1, 3]: they overlap on [1, 2] and cross at 5/3
+    a = pwl.from_points([(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))])
+    b = pwl.from_points([(Fraction(1), Fraction(3)), (Fraction(3), Fraction(-1))])
+    merged = pwl.merge_min_to_total([a, b], 0, 3)
+    assert merged.breakpoints == (0, Fraction(5, 3), 3)
+    assert merged.values == (0, Fraction(5, 3), -1)
+    assert pwl.merge_min_to_total([b, a], 0, 3) == merged
+
+
+GRID = st.integers(0, 16).map(lambda q: Fraction(q, 4))
+VALUES = st.integers(-8, 8).map(lambda v: Fraction(v, 2))
+
+
+@st.composite
+def total_functions(draw) -> PwlFunction:
+    """A function on [0, 4] with up to three inner breakpoints on the grid."""
+    inner = draw(st.sets(st.integers(1, 15), max_size=3))
+    qs = [Fraction(q, 4) for q in sorted({0, 16, *inner})]
+    vs = draw(st.lists(VALUES, min_size=len(qs), max_size=len(qs)))
+    return pwl.from_points(list(zip(qs, vs)))
+
+
+@st.composite
+def partial_parts(draw) -> list[PwlFunction]:
+    """Whole and restricted functions, plus a few single-point parts."""
+    parts = []
+    for g in draw(st.lists(total_functions(), min_size=1, max_size=4)):
+        a, b = sorted((draw(GRID), draw(GRID)))
+        parts.append(g if draw(st.booleans()) else pwl.restrict(g, a, b))
+    for _ in range(draw(st.integers(0, 2))):
+        parts.append(PwlFunction((draw(GRID),), (draw(VALUES),)))
+    return parts
+
+
+def _lowest(parts, x, from_left=False, from_right=False):
+    """Min at x over the parts containing x, or None; `from_left` keeps only
+    parts that also cover some stretch left of x, `from_right` right of it."""
+    vals = [
+        p(x)
+        for p in parts
+        if p.lo <= x <= p.hi and (p.lo < x or not from_left) and (x < p.hi or not from_right)
+    ]
+    return min(vals) if vals else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(partial_parts(), GRID, GRID)
+def test_merge_min_to_total_matches_pointwise_min(parts, a, b):
+    """Where the min of the parts is one continuous function on [lo, hi] the
+    merge equals it; where it has a gap, a jump or a dip inside, it raises."""
+    lo, hi = min(a, b), max(a, b)
+    if lo == hi:
+        broken = _lowest(parts, lo) is None
+    else:
+        cuts = sorted({lo, hi, *(q for p in parts for q in p.breakpoints if lo < q < hi)})
+        gap = any(_lowest(parts, (q1 + q2) / 2) is None for q1, q2 in zip(cuts, cuts[1:]))
+        broken = gap or any(
+            not _lowest(parts, q, from_left=True)
+            == _lowest(parts, q, from_right=True)
+            == _lowest(parts, q)
+            for q in cuts[1:-1]
+        )
+    if broken:
+        with pytest.raises(PwlError):
+            pwl.merge_min_to_total(parts, lo, hi)
+        return
+    merged = pwl.merge_min_to_total(parts, lo, hi)
+    assert (merged.lo, merged.hi) == (lo, hi)
+    assert merged == pwl.canonical(merged)
+    if lo == hi:
+        assert merged.values == (_lowest(parts, lo),)
+        return
+    assert merged(lo) == _lowest(parts, lo, from_right=True)
+    assert merged(hi) == _lowest(parts, hi, from_left=True)
+    samples = {lo + (hi - lo) * Fraction(t, 64) for t in range(1, 64)}
+    for x in samples.union(cuts, merged.breakpoints) - {lo, hi}:
+        assert merged(x) == _lowest(parts, x)
 
 
 def test_max_difference_examples():
     f = pwl.from_points([(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))])
     one = pwl.constant(1, 0, 2)
-    assert pwl.max_difference(f, one, (0, 2)) == (1, 2)
-    assert pwl.max_difference(f, f, (0, 2)) == (0, 0)
+    value, args = pwl.max_difference_all(f, one, (0, 2))
+    assert (value, args[0]) == (1, 2)
+    value, args = pwl.max_difference_all(f, f, (0, 2))
+    assert (value, args[0]) == (0, 0)
     env = pwl.upper_envelope([line(0, 1), line(1, 0)], (0, 2))
     half = pwl.from_points([(Fraction(0), Fraction(0)), (Fraction(2), Fraction(1))])
-    value, arg = pwl.max_difference(env, half, (0, 2))
-    assert (value, arg) == (1, 0)
-    _, args = pwl.max_difference_all(env, half, (0, 2))
+    value, args = pwl.max_difference_all(env, half, (0, 2))
+    assert (value, args[0]) == (1, 0)
     assert args == [0, 2]
 
 
