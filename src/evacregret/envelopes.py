@@ -6,9 +6,12 @@ vertex: terms depending on the variable become true lines, terms that do not
 are folded into a single constant evaluated with the exact zero-weight rule.
 The envelope is therefore the linear extension of the one-sided time: it
 agrees with the true time everywhere except possibly at a single boundary
-value of the variable where every contributing weight vanishes (where the
-true time drops to zero while the envelope keeps the extension).  The right
-side is the left side of the mirror image of the path.
+value of the variable where every weight behind one of its lines vanishes
+(where that vertex's true arrival time drops to zero while its line keeps the
+extension).  A one-point
+range pins a single scenario, so there the true time applies instead; this
+module is the one place that rule is decided.  The right side is the left
+side of the mirror image of the path.
 
 Envelopes, like the profiles built on them, depend on the instance and their
 vertex and weight arguments but never on the sink, so a solver memoizes them
@@ -26,9 +29,11 @@ from .path_model import (
     PathInstance,
     RationalLike,
     Scenario,
+    min_capacity,
     prefix_weight,
     reflect_instance,
     reflect_scenario,
+    substitute,
     to_fraction,
 )
 from .pwl import Line, PwlFunction
@@ -82,12 +87,15 @@ def left_envelope_raw(
     hi: RationalLike,
 ) -> PwlFunction:
     """Left evacuation time at x_vertex as a function of the weight at
-    v_varying, as an upper envelope of lines.  Size and build time O(n)."""
+    v_varying, as an upper envelope of lines.  Size and build time O(n).
+    A one-point range [lo, lo] gives the true time with that weight at lo."""
     lo, hi = to_fraction(lo), to_fraction(hi)
     pos = instance.positions
-    if vertex == 0 or varying >= vertex:
-        # no contributing terms, or the variable sits at/right of the vertex
-        value, _ = _left_time_at_vertex(instance, vertex, base)
+    if lo == hi or vertex == 0 or varying >= vertex:
+        # a pinned weight, no contributing terms, or the variable sits at or
+        # right of the vertex: the time is one true value
+        scenario = substitute(base, varying, lo) if lo == hi else base
+        value, _ = _left_time_at_vertex(instance, vertex, scenario)
         return pwl.constant(value, lo, hi)
 
     w_var = base.weights[varying]
@@ -109,6 +117,37 @@ def left_envelope_raw(
         ordered.append(Line(0, const_best))
     ordered.extend(lines)
     return pwl.upper_envelope(ordered, (lo, hi))
+
+
+def arrival_envelope(
+    instance: PathInstance,
+    first: int,
+    last: int,
+    x: Fraction,
+    base: Scenario,
+    lo: Fraction,
+    hi: Fraction,
+) -> PwlFunction:
+    """Upper envelope of the arrival-time lines at sink x (x_last < x) of the
+    vertices first..last, as a weight alpha in [lo, hi] is added to every one
+    of their prefix weights over `base`.  A one-point range gives the true
+    maximum, in which a vertex whose prefix weight is zero arrives at time 0.
+    Size and build time O(last - first + 1)."""
+    pos = instance.positions
+    cap = min_capacity(instance, pos[last], x)
+    lines: list[Line] = []
+    weights: list[Fraction] = []
+    for t in range(last, first - 1, -1):
+        cap = min(cap, instance.capacities[t])
+        weights.append(prefix_weight(base, 0, t))
+        lines.append(Line(1 / cap, (x - pos[t]) + weights[-1] / cap))
+    if lo == hi:
+        value = max(
+            (line.at(lo) for line, w in zip(lines, weights) if w + lo != 0),
+            default=Fraction(0),
+        )
+        return pwl.constant(value, lo, hi)
+    return pwl.upper_envelope(lines, (lo, hi))
 
 
 def right_envelope_raw(

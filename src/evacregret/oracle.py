@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .evacuation import optimal_sink, regret, theta
+from .evacuation import optimal_sink, theta
 from .path_model import (
     PathInstance,
     PathModelError,
@@ -19,7 +19,6 @@ from .path_model import (
     RationalLike,
     Scenario,
     as_point,
-    is_legal,
     prefix_weight,
     shift,
     to_fraction,

@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -48,37 +48,6 @@ def format_fraction(value: Fraction) -> str:
     return str(value)
 
 
-def _ilog2(value: int) -> int:
-    return value.bit_length() - 1
-
-
-class RangeMin:
-    """Sparse table answering range-minimum queries over a fixed array in O(1).
-
-    Build cost is O(N log N).  Queries use half-open index ranges [start, stop).
-    """
-
-    def __init__(self, data: Sequence[Fraction]):
-        length = len(data)
-        self._table: list[list[Fraction]] = [list(data)]
-        depth = 1
-        while (1 << depth) <= length:
-            prev = self._table[depth - 1]
-            half = 1 << (depth - 1)
-            self._table.append(
-                [min(prev[i], prev[i + half]) for i in range(length - (1 << depth) + 1)]
-            )
-            depth += 1
-
-    def query(self, start: int, stop: int) -> Optional[Fraction]:
-        """Minimum of data[start:stop], or None when the range is empty."""
-        if start >= stop:
-            return None
-        depth = _ilog2(stop - start)
-        row = self._table[depth]
-        return min(row[start], row[stop - (1 << depth)])
-
-
 @dataclass(frozen=True)
 class PathInstance:
     """An embedded path: vertex positions, edge capacities, per-vertex weight intervals.
@@ -94,7 +63,6 @@ class PathInstance:
     weight_hi: tuple[Fraction, ...]
     _lo_prefix: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
     _hi_prefix: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    _cap_rmq: RangeMin = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -113,7 +81,6 @@ class PathInstance:
         object.__setattr__(
             self, "_hi_prefix", tuple(accumulate(self.weight_hi, initial=Fraction(0)))
         )
-        object.__setattr__(self, "_cap_rmq", RangeMin(self.capacities))
 
     def __hash__(self) -> int:
         # hashing tuples of Fractions is costly; cache it (instances are hot
@@ -262,12 +229,13 @@ def min_capacity(
     x: Union[Point, RationalLike],
     x2: Union[Point, RationalLike],
 ) -> Optional[Fraction]:
-    """Minimum edge capacity on the subpath spanning x..x2 (x_0 <= x <= x2 <= x_n).
+    """Minimum edge capacity on the subpath spanning x..x2 (x_0 <= x <= x2 <= x_n),
+    by a scan of the spanned edges.
 
     The spanned edge range is [max{i: x_i <= x}, min{j: x_j >= x2}).  When that
     range is empty (both points under the same vertex) the capacity is
     undefined; None is returned as the +infinity sentinel and callers must not
-    divide by it.
+    divide by it.  Points off the path raise PathModelError.
     """
     a = x.value if isinstance(x, Point) else to_fraction(x)
     b = x2.value if isinstance(x2, Point) else to_fraction(x2)
@@ -277,7 +245,7 @@ def min_capacity(
         raise PathModelError(f"min_capacity points {a}, {b} are off the path")
     i = instance.last_vertex_at_or_left(a)
     j = instance.first_vertex_at_or_right(b)
-    return instance._cap_rmq.query(i, j)
+    return min(instance.capacities[i:j], default=None)
 
 
 def two_varying(

@@ -23,14 +23,13 @@ from typing import Optional
 
 from . import pwl
 from .envelopes import SolveCache, cache_for, cached_envelope
-from .evacuation import _left_time_at_vertex, _right_time_at_vertex, theta_min_on_edge
+from .evacuation import _right_time_at_vertex
 from .path_model import (
     PathInstance,
     RationalLike,
     Scenario,
     reflect_instance,
     reflect_scenario,
-    substitute,
     to_fraction,
     two_varying,
 )
@@ -378,33 +377,12 @@ def min_max_y_profile(
 # profiles and single-varying vertex parts.
 
 
-def _side_profile(
-    base: Scenario,
-    varying: int,
-    vertex: int,
-    lo: Fraction,
-    hi: Fraction,
-    side: str,
-    cache: SolveCache,
-) -> PwlFunction:
-    """One-sided envelope for a profile, with degenerate (pinned) coordinates
-    evaluated by the true closed form instead of the linear extension."""
-    if lo == hi:
-        pinned = substitute(base, varying, lo)
-        if side == "left":
-            value, _ = _left_time_at_vertex(cache.instance, vertex, pinned)
-        else:
-            value, _ = _right_time_at_vertex(cache.instance, vertex, pinned)
-        return pwl.constant(value, lo, hi)
-    return cached_envelope(cache, side, varying, vertex, base, lo, hi)
-
-
 def _vertex_profile_core(
     base: Scenario, vi: int, vj: int, k: int, box: Box, cache: SolveCache
 ) -> PwlFunction:
     def build() -> PwlFunction:
-        f_left = _side_profile(base, vi, k, box.a1, box.a2, "left", cache)
-        f_right = _side_profile(base, vj, k, box.b1, box.b2, "right", cache)
+        f_left = cached_envelope(cache, "left", vi, k, base, box.a1, box.a2)
+        f_right = cached_envelope(cache, "right", vj, k, base, box.b1, box.b2)
         return _min_max_core(f_left, f_right, box)
 
     return cache.get(("vertex_profile", base, vi, vj, k, box), build)
@@ -418,10 +396,10 @@ def _edge_profile_core(
     xk = cache.instance.positions[k]
     xk1 = cache.instance.positions[k + 1]
     f_left = pwl.add_const(
-        _side_profile(base, vi, k + 1, box.a1, box.a2, "left", cache), -xk1
+        cached_envelope(cache, "left", vi, k + 1, base, box.a1, box.a2), -xk1
     )
     f_right = pwl.add_const(
-        _side_profile(base, vj, k, box.b1, box.b2, "right", cache), xk
+        cached_envelope(cache, "right", vj, k, base, box.b1, box.b2), xk
     )
     interior = _min_max_offset_core(f_left, f_right, box, xk, xk1)
     # a side with no weight contributes zero, not its (negative) line value
@@ -524,9 +502,6 @@ def edge_min_profile_single(
     if not (0 <= k < instance.n and 0 <= j < instance.vertex_count):
         raise ProfileError(f"edge_min_profile_single indices out of range: {j},{k}")
     cache = cache_for(instance, cache)
-    if lo == hi:
-        pinned = substitute(base, j, lo)
-        return pwl.constant(theta_min_on_edge(instance, k, pinned)[1], lo, hi)
     if j > k:
         # the varying weight lies right of the edge: build on the mirror image
         n = instance.n

@@ -15,10 +15,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import pwl
-from .envelopes import SolveCache, cache_for, cached_envelope
+from .envelopes import SolveCache, arrival_envelope, cache_for, cached_envelope
 from .evacuation import (
     _unimodal_edge_search,
-    left_vertex_time,
     optimal_sink,
     theta,
     theta_min_on_edge,
@@ -30,8 +29,6 @@ from .path_model import (
     RationalLike,
     Scenario,
     as_point,
-    min_capacity,
-    prefix_weight,
     reflect_instance,
     reflect_scenario,
     substitute,
@@ -39,7 +36,7 @@ from .path_model import (
     two_varying,
 )
 from .profiles import Box, edge_min_profile, edge_min_profile_single
-from .pwl import Line, PwlFunction
+from .pwl import PwlFunction
 
 FAMILY_LEFT_SINGLE = "left_single"
 FAMILY_LEFT_PAIR = "left_pair"
@@ -118,33 +115,6 @@ def _check_left_family(
         raise PathModelError(f"left family needs x_{j} < x <= x_n, got x = {x}")
 
 
-def _single_line(instance: PathInstance, j: int, x: Fraction, base: Scenario) -> Line:
-    """The arrival-time line of vertex j at sink x as its free weight grows."""
-    cap = min_capacity(instance, instance.positions[j], x)
-    intercept = (x - instance.positions[j]) + prefix_weight(base, 0, j) / cap
-    return Line(1 / cap, intercept)
-
-
-def _term_line(
-    instance: PathInstance,
-    varying: int,
-    j: int,
-    x: Fraction,
-    base: Scenario,
-    lo: Fraction,
-    hi: Fraction,
-) -> PwlFunction:
-    """Arrival-time line of vertex j over the varying weight's range.
-
-    A degenerate range pins a single scenario, so the true (zero-aware) value
-    applies; otherwise the linear extension is the family's one-sided limit at
-    a vanishing boundary and exact everywhere else."""
-    if lo == hi:
-        value = left_vertex_time(instance, j, x, substitute(base, varying, lo))
-        return pwl.constant(value, lo, hi)
-    return pwl.from_line(_single_line(instance, j, x, base), lo, hi)
-
-
 def _single_profile(
     cache: SolveCache, varying: int, u: int, base: Scenario, lo: Fraction, hi: Fraction
 ) -> PwlFunction:
@@ -176,7 +146,7 @@ def eval_left_single(
     cache = cache_for(instance, cache)
     base = two_varying(instance, j, j, 0, 0)
     lo, hi = instance.weight_lo[j], instance.weight_hi[j]
-    line = _term_line(instance, j, j, x, base, lo, hi)
+    line = arrival_envelope(instance, j, j, x, base, lo, hi)
     best: Optional[_Term] = None
     for u in range(j, instance.n):
         profile = _single_profile(cache, j, u, base, lo, hi)
@@ -201,7 +171,7 @@ def eval_left_pair(
     cache = cache_for(instance, cache)
     base = two_varying(instance, i, j, 0, instance.weight_hi[j])
     lo, hi = instance.weight_lo[i], instance.weight_hi[i]
-    line = _term_line(instance, i, j, x, base, lo, hi)
+    line = arrival_envelope(instance, j, j, x, base, lo, hi)
     best: Optional[_Term] = None
     for u in range(j, instance.n):
         profile = _single_profile(cache, i, u, base, lo, hi)
@@ -215,7 +185,8 @@ def left_arrival_envelope(
     instance: PathInstance, i: int, j: int, x: RationalLike
 ) -> PwlFunction:
     """Upper envelope, in the pair's total free weight, of the arrival-time
-    lines of every vertex between x_j and the sink."""
+    lines of every vertex between x_j and the sink (the true maximum when
+    both weights are pinned)."""
     x = to_fraction(x)
     base = two_varying(instance, i, j, 0, 0)
     box = _pair_box(instance, i, j)
@@ -224,13 +195,7 @@ def left_arrival_envelope(
         t_max -= 1
     if t_max < j:
         raise PathModelError("no vertex between x_j and the sink")
-    if box.alpha_lo == box.alpha_hi:
-        # both weights pinned: a single scenario, evaluated with the true rule
-        s = two_varying(instance, i, j, box.a1, box.b1)
-        value = max(left_vertex_time(instance, t, x, s) for t in range(j, t_max + 1))
-        return pwl.constant(value, box.alpha_lo, box.alpha_hi)
-    lines = [_single_line(instance, t, x, base) for t in range(t_max, j - 1, -1)]
-    return pwl.upper_envelope(lines, (box.alpha_lo, box.alpha_hi))
+    return arrival_envelope(instance, j, t_max, x, base, box.alpha_lo, box.alpha_hi)
 
 
 def _pair_box(instance: PathInstance, i: int, j: int) -> Box:
@@ -491,23 +456,20 @@ class RegretSolver:
         """(min of the max-regret over edge u, leftmost minimizing point)."""
         inst = self.instance
         xl, xr = inst.positions[u], inst.positions[u + 1]
-        left_rep = self.vertex_regret(u)
-        right_rep = self.vertex_regret(u + 1)
-        candidates = [(left_rep.value, xl), (right_rep.value, xr)]
-        g1 = right_rep.g_value
-        h0 = left_rep.h_value
-        if g1 is None and h0 is None:
-            candidates.append((Fraction(0), xl))
-        elif g1 is None:
-            candidates.append((h0 - (xr - xl), xr))
-        elif h0 is None:
-            candidates.append((g1 - (xr - xl), xl))
+        left_rep, right_rep = self.vertex_regret(u), self.vertex_regret(u + 1)
+        g1, h0 = right_rep.g_value, left_rep.h_value
+        # the interior max(g rising, h falling) is least at their clamped
+        # crossing, or at the far end of the one side present
+        if g1 is not None and h0 is not None:
+            y = min(max((xl + xr + h0 - g1) / 2, xl), xr)
         else:
-            cross = (xl + xr + h0 - g1) / 2
-            y = min(max(cross, xl), xr)
-            candidates.append((max(g1 - (xr - y), h0 - (y - xl)), y))
-        best = min(candidates, key=lambda c: (c[0], c[1]))
-        return best[0], best[1]
+            y = xr if g1 is None and h0 is not None else xl
+        candidates = [
+            (left_rep.value, xl),
+            (right_rep.value, xr),
+            (self._interior_values(u, y)[2], y),
+        ]
+        return min(candidates, key=lambda c: (c[0], c[1]))
 
     def min_max_regret(self) -> RegretReport:
         """Minmax regret over the whole path: binary search over per-edge

@@ -4,10 +4,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from evacregret import Scenario, pwl, theta
+from evacregret import PathInstance, Scenario, pwl, theta
 from evacregret.envelopes import left_envelope_raw, right_envelope_raw
 from evacregret.evacuation import _left_time_at_vertex, _right_time_at_vertex
-from evacregret.path_model import substitute, two_varying
+from evacregret.path_model import reflect_instance, substitute, two_varying
 
 from conftest import random_instance, random_scenario, rational
 
@@ -123,7 +123,9 @@ def test_theta_of_alpha_nondecreasing():
 
 def test_zero_weight_clamp():
     """When every contributing weight vanishes at alpha = 0 the true time is 0
-    while the envelope keeps the linear extension; they agree for alpha > 0."""
+    while the envelope keeps the linear extension; they agree for alpha > 0.
+    A one-point range pins the scenario, so there the envelope is the true
+    time, 0 included."""
     rng = random.Random(107)
     inst = random_instance(rng, max_n=4, zero_lower=True)
     zero = Scenario([0] * inst.vertex_count)
@@ -139,3 +141,14 @@ def test_zero_weight_clamp():
     for alpha in (Fraction(1, 8), 1, 2):
         s = substitute(zero, inst.n, alpha)
         assert env_r(alpha) == _right_time_at_vertex(inst, 0, s)[0]
+    for alpha in (0, Fraction(1, 8)):
+        s = substitute(zero, 0, alpha)
+        point = left_envelope_raw(inst, 0, vertex, zero, alpha, alpha)
+        assert point.values == (_left_time_at_vertex(inst, vertex, s)[0],)
+        s = substitute(zero, inst.n, alpha)
+        point = right_envelope_raw(inst, inst.n, 0, zero, alpha, alpha)
+        assert point.values == (_right_time_at_vertex(inst, 0, s)[0],)
+    pinned = PathInstance([0, 1, 2], [1, 2], [0, 0, 0], [0, 2, 2])
+    assert left_envelope_raw(pinned, 0, 1, pinned.lower_scenario(), 0, 0).values == (0,)
+    mirror = reflect_instance(pinned)
+    assert right_envelope_raw(mirror, 2, 1, mirror.lower_scenario(), 0, 0).values == (0,)

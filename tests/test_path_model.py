@@ -87,7 +87,8 @@ def test_min_capacity_refuses_points_off_the_path():
 
 
 def range_min_scan(data, start, stop):
-    """Linear-scan reference with the same contract as RangeMin.query."""
+    """Minimum of data[start:stop], or None when the range is empty: the
+    contract of min_capacity on edge indices, written apart from it."""
     return min(data[start:stop]) if start < stop else None
 
 

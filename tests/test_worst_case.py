@@ -108,6 +108,18 @@ def test_arrival_envelope_single_line(t1):
     assert env.values == (1, 3)  # 1 + alpha/2 on [0, 4]
 
 
+def test_pinned_families_read_the_true_time():
+    """A zero-width interval pins one scenario, so the arrival envelope and the
+    single family read its true time: 0 where no weight has to move, not the
+    linear extension's travel time."""
+    inst = PathInstance([0, 1, 2], [1, 2], [0, 0, 0], [0, 0, 2])
+    assert left_arrival_envelope(inst, 0, 1, 2).values == (0,)
+    assert eval_left_single(inst, 0, 2).value == 0
+    assert eval_left_pair(inst, 0, 1, 2).value == 0
+    loaded = PathInstance([0, 1, 2], [1, 2], [1, 0, 0], [1, 0, 2])
+    assert left_arrival_envelope(loaded, 0, 1, 2).values == (Fraction(3, 2),)
+
+
 def test_right_side_evaluators_fixtures(t1):
     """The right-side families at x_0 are the left-side evaluators on the
     mirror image, at its far end x_n (vertex k maps to n - k)."""
