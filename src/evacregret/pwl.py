@@ -6,7 +6,7 @@ documents its output-size bound.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -356,11 +356,10 @@ def max_difference_all(
 
 
 def _lower_envelope_segment(
-    covering: list[PwlFunction], q1: Fraction, q2: Fraction
+    endpoint_pairs: set[tuple[Fraction, Fraction]], q1: Fraction, q2: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
-    """Lower envelope, as breakpoint/value points, of linear segments that all
-    cover [q1, q2]."""
-    endpoint_pairs = {(evaluate(seg, q1), evaluate(seg, q2)) for seg in covering}
+    """Lower envelope, as breakpoint/value points, of the linear segments over
+    [q1, q2] with the given (value at q1, value at q2) pairs."""
     width = q2 - q1
     entries = []
     for v1, v2 in endpoint_pairs:
@@ -395,12 +394,18 @@ def merge_min_to_total(
         return PwlFunction((lo,), (min(vals),))
     singles = [p for p in parts if p.size == 0]
     cuts = sorted({lo, hi, *(q for p in parts for q in p.breakpoints if lo < q < hi)})
+    # each part's values at the cuts it spans, by one walk per part
+    walks = []
+    for p in parts:
+        a, b = bisect_left(cuts, p.lo), bisect_right(cuts, p.hi)
+        if b - a > 1:
+            walks.append((a, b, _values_on(p, cuts[a:b])))
     points: list[tuple[Fraction, Fraction]] = []
-    for q1, q2 in zip(cuts, cuts[1:]):
-        covering = [p for p in parts if p.lo <= q1 and q2 <= p.hi]
-        if not covering:
+    for t, (q1, q2) in enumerate(zip(cuts, cuts[1:])):
+        pairs = {(vals[t - a], vals[t + 1 - a]) for a, b, vals in walks if a <= t < b - 1}
+        if not pairs:
             raise PwlError(f"min-merge leaves a gap in [{q1}, {q2}]")
-        segment = _lower_envelope_segment(covering, q1, q2)
+        segment = _lower_envelope_segment(pairs, q1, q2)
         if points:
             left = points.pop()[1]
             if left != segment[0][1]:

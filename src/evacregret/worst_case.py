@@ -7,11 +7,24 @@ functions of the free total weight: an arrival-time line (or envelope of
 lines) minus a min-evacuation profile.  The left-to-right families are
 evaluated directly; the mirrored families reuse the same code on the
 reflected instance.
+
+Only each side's maximum and the terms tied with it reach a report, so the
+per-vertex search is an exact branch-and-bound.  A term's value is
+max_alpha (A(alpha) - P_u(alpha)), where A is the arrival line or envelope
+and P_u(alpha) is a min-evacuation time over the family's scenarios with free
+weight alpha (its envelopes can only overstate the true time).  Each of them
+lies, weight by weight, at or above s_lo, the family's scenario at the least
+free weight, and adding weight never speeds an evacuation, so
+P_u(alpha) >= OPT(s_lo) and max(A) - OPT(s_lo) bounds the term.  A term whose
+bound is strictly below a value already found can be neither the side's
+maximum nor tied with it.  OPT(s_lo) does not depend on the sink and is
+memoized per solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 from . import pwl
@@ -135,25 +148,52 @@ def _pair_profile(cache: SolveCache, i: int, j: int, u: int, box: Box) -> PwlFun
     )
 
 
+def _left_setup(cache: SolveCache, family: str, i: Optional[int], j: int, x: Fraction):
+    """One left family term at sink x: its arrival line or envelope A, the
+    subtrahend's edges, their profile builder, and s_lo, the term's scenario
+    at the least free weight, whose optimal time bounds every profile below."""
+    instance = cache.instance
+    if family == FAMILY_LEFT_PAIR_INNER:
+        box = _pair_box(instance, i, j)
+        envelope = left_arrival_envelope(instance, i, j, x)
+        profile = partial(_pair_profile, cache, i, j, box=box)
+        return envelope, range(i, j), profile, two_varying(instance, i, j, box.a1, box.b1)
+    if family == FAMILY_LEFT_SINGLE:
+        varying, base = j, two_varying(instance, j, j, 0, 0)
+    else:
+        varying, base = i, two_varying(instance, i, j, 0, instance.weight_hi[j])
+    lo, hi = instance.weight_lo[varying], instance.weight_hi[varying]
+    line = arrival_envelope(instance, j, j, x, base, lo, hi)
+    profile = partial(_single_profile, cache, varying, base=base, lo=lo, hi=hi)
+    return line, range(j, instance.n), profile, substitute(base, varying, lo)
+
+
+def _best_term(family: str, i: Optional[int], j: int, line, edges, profile) -> _Term:
+    """max over the edges u of max_alpha (A(alpha) - P_u(alpha)), first u on ties."""
+    best: Optional[_Term] = None
+    for u in edges:
+        value, args = pwl.max_difference_all(line, profile(u))
+        if best is None or value > best.value:
+            best = _Term(value, family, i, j, u, tuple(args))
+    return best
+
+
+def _eval_left(
+    instance: PathInstance, family: str, i: Optional[int], j: int, x: RationalLike, cache
+) -> _Term:
+    x = to_fraction(x)
+    _check_left_family(instance, j, x, i)
+    line, edges, profile, _ = _left_setup(cache_for(instance, cache), family, i, j, x)
+    return _best_term(family, i, j, line, edges, profile)
+
+
 def eval_left_single(
     instance: PathInstance, j: int, x: RationalLike, *, cache: Optional[SolveCache] = None
 ) -> _Term:
     """Family: only the weight at v_j varies, everything else at lower bounds;
     sink candidates for the subtrahend range over [x_j, x_n].  `cache`, when
     given, is the instance's SolveCache; it changes no result."""
-    x = to_fraction(x)
-    _check_left_family(instance, j, x)
-    cache = cache_for(instance, cache)
-    base = two_varying(instance, j, j, 0, 0)
-    lo, hi = instance.weight_lo[j], instance.weight_hi[j]
-    line = arrival_envelope(instance, j, j, x, base, lo, hi)
-    best: Optional[_Term] = None
-    for u in range(j, instance.n):
-        profile = _single_profile(cache, j, u, base, lo, hi)
-        value, args = pwl.max_difference_all(line, profile)
-        if best is None or value > best.value:
-            best = _Term(value, FAMILY_LEFT_SINGLE, None, j, u, tuple(args))
-    return best
+    return _eval_left(instance, FAMILY_LEFT_SINGLE, None, j, x, cache)
 
 
 def eval_left_pair(
@@ -166,19 +206,7 @@ def eval_left_pair(
 ) -> _Term:
     """Family: pair (i, j) with the weight at v_j pinned to its upper bound
     and the weight at v_i free.  `cache` as for eval_left_single."""
-    x = to_fraction(x)
-    _check_left_family(instance, j, x, i)
-    cache = cache_for(instance, cache)
-    base = two_varying(instance, i, j, 0, instance.weight_hi[j])
-    lo, hi = instance.weight_lo[i], instance.weight_hi[i]
-    line = arrival_envelope(instance, j, j, x, base, lo, hi)
-    best: Optional[_Term] = None
-    for u in range(j, instance.n):
-        profile = _single_profile(cache, i, u, base, lo, hi)
-        value, args = pwl.max_difference_all(line, profile)
-        if best is None or value > best.value:
-            best = _Term(value, FAMILY_LEFT_PAIR, i, j, u, tuple(args))
-    return best
+    return _eval_left(instance, FAMILY_LEFT_PAIR, i, j, x, cache)
 
 
 def left_arrival_envelope(
@@ -217,33 +245,40 @@ def eval_left_pair_inner(
 ) -> _Term:
     """Family: pair (i, j) with both weights free and the subtrahend's sink
     ranging over [x_i, x_j].  `cache` as for eval_left_single."""
-    x = to_fraction(x)
-    _check_left_family(instance, j, x, i)
-    cache = cache_for(instance, cache)
-    box = _pair_box(instance, i, j)
-    envelope = left_arrival_envelope(instance, i, j, x)
-    best: Optional[_Term] = None
-    for u in range(i, j):
-        profile = _pair_profile(cache, i, j, u, box)
-        value, args = pwl.max_difference_all(envelope, profile)
-        if best is None or value > best.value:
-            best = _Term(value, FAMILY_LEFT_PAIR_INNER, i, j, u, tuple(args))
-    return best
+    return _eval_left(instance, FAMILY_LEFT_PAIR_INNER, i, j, x, cache)
 
 
 def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
-    """All left-side family contributions at vertex x_m of the cache's
-    instance."""
+    """The left-side family terms at vertex x_m of the cache's instance that
+    can reach the side's maximum, in family order; every other term is pruned.
+
+    A term is at most max(A) - OPT(s_lo) (see the module docstring).  Terms
+    are visited by descending max(A), which bounds the rest once it falls
+    strictly below the best value found; a term whose full bound is strictly
+    below it is skipped.  A pruned term is strictly below the side maximum,
+    so the maximum and every term tied with it are evaluated exactly."""
     instance = cache.instance
     x = instance.positions[m]
-    terms: list[_Term] = []
-    for j in range(m):
-        terms.append(eval_left_single(instance, j, x, cache=cache))
+    keys = [(FAMILY_LEFT_SINGLE, None, j) for j in range(m)]
     for j in range(1, m):
         for i in range(j):
-            terms.append(eval_left_pair(instance, i, j, x, cache=cache))
-            terms.append(eval_left_pair_inner(instance, i, j, x, cache=cache))
-    return terms
+            keys += [(FAMILY_LEFT_PAIR, i, j), (FAMILY_LEFT_PAIR_INNER, i, j)]
+    setups = [_left_setup(cache, *key, x) for key in keys]
+    peaks = [max(setup[0].values) for setup in setups]
+    best: Optional[Fraction] = None
+    kept: dict[int, _Term] = {}
+    for k in sorted(range(len(keys)), key=peaks.__getitem__, reverse=True):
+        if best is not None and peaks[k] < best:
+            break
+        line, edges, profile, s_lo = setups[k]
+        if best is not None:
+            opt_key = ("optimal_sink", s_lo)
+            opt = cache.get(opt_key, lambda: optimal_sink(instance, s_lo).value)
+            if peaks[k] - opt < best:
+                continue
+        kept[k] = term = _best_term(*keys[k], line, edges, profile)
+        best = term.value if best is None else max(best, term.value)
+    return [kept[k] for k in sorted(kept)]
 
 
 def _mirror_term(instance: PathInstance, term: _Term) -> _Term:

@@ -283,9 +283,10 @@ def test_solver_frees_its_instance():
 
 def test_solve_builds_each_edge_profile_once(monkeypatch):
     """Across the vertices one solve evaluates, every edge profile the family
-    evaluators request, pinned (lo == hi) ones included, is built once."""
+    evaluators request, pinned (lo == hi) ones included, is built once.  The
+    end weights are pinned at [2, 2] so that pinned terms survive pruning."""
     inst = PathInstance(
-        [0, 1, 3, 4, 6, 7], [2, 1, 3, 1, 2], [0, 1, 0, 1, 0, 0], [2, 1, 1, 2, 1, 2]
+        [0, 1, 3, 4, 6, 7], [2, 1, 3, 1, 2], [2, 1, 0, 1, 0, 2], [2, 1, 1, 2, 1, 2]
     )
     calls: dict[str, list] = {"edge_min_profile": [], "edge_min_profile_single": []}
     for name, seen in calls.items():
