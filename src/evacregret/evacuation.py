@@ -146,11 +146,17 @@ def theta_min_on_edge(
     """
     if not (0 <= k < instance.n):
         raise PathModelError(f"edge index out of range: {k}")
+    times = [f(instance, v, s)[0] for v in (k, k + 1)
+             for f in (_left_time_at_vertex, _right_time_at_vertex)]
+    value, y = _edge_min_from_times(instance, k, times)
+    return as_point(instance, y), value
+
+
+def _edge_min_from_times(instance: PathInstance, k: int, times) -> tuple[Fraction, Fraction]:
+    """theta_min_on_edge's (value, position) from the one-sided times
+    (left, right) at x_k and then at x_{k+1}."""
+    tl_k, tr_k, tl_k1, tr_k1 = times
     xk, xk1 = instance.positions[k], instance.positions[k + 1]
-    tl_k, _ = _left_time_at_vertex(instance, k, s)
-    tr_k, _ = _right_time_at_vertex(instance, k, s)
-    tl_k1, _ = _left_time_at_vertex(instance, k + 1, s)
-    tr_k1, _ = _right_time_at_vertex(instance, k + 1, s)
     theta_k = max(tl_k, tr_k)
     theta_k1 = max(tl_k1, tr_k1)
 
@@ -163,8 +169,7 @@ def theta_min_on_edge(
         # zero is attained on a segment; report its leftmost point
         y_star = xk + tr_k
     candidates.append((interior, y_star))
-    best = min(candidates, key=lambda c: (c[0], c[1]))
-    return as_point(instance, best[1]), best[0]
+    return min(candidates, key=lambda c: (c[0], c[1]))
 
 
 def _unimodal_edge_search(

@@ -9,27 +9,33 @@ evaluated directly; the mirrored families reuse the same code on the
 reflected instance.
 
 Only each side's maximum and the terms tied with it reach a report, so the
-per-vertex search is an exact branch-and-bound.  A term's value is
-max_alpha (A(alpha) - P_u(alpha)), where A is the arrival line or envelope
-and P_u(alpha) is a min-evacuation time over the family's scenarios with free
-weight alpha (its envelopes can only overstate the true time).  Each of them
-lies, weight by weight, at or above s_lo, the family's scenario at the least
-free weight, and adding weight never speeds an evacuation, so
-P_u(alpha) >= OPT(s_lo) and max(A) - OPT(s_lo) bounds the term.  A term whose
-bound is strictly below a value already found can be neither the side's
-maximum nor tied with it.  OPT(s_lo) does not depend on the sink and is
-memoized per solve.
+per-vertex search is an exact branch-and-bound over units, one per term and
+subtrahend edge u.  A unit's value is max_alpha (A(alpha) - P_u(alpha)),
+where A is the arrival line or envelope and P_u(alpha) is a min-evacuation
+time over edge u and the family's scenarios with free weight alpha (its
+envelopes can only overstate the true time).  For alpha in [p, q] each of
+those scenarios lies, weight by weight, at or above least(p), the least
+weights of the family's scenarios with free weight at least p, and adding
+weight never speeds an evacuation, so P_u(alpha) is at least the least
+time over edge u under least(p), and max of A on [p, q] minus that time
+bounds the unit there.  A unit whose bound is strictly below a value already
+found can be neither the side's maximum nor tied with it.  The times under
+least(p) do not depend on the sink and are memoized per solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter, sub
 from typing import Optional, Union
 
 from . import pwl
 from .envelopes import SolveCache, arrival_envelope, cache_for, cached_envelope
 from .evacuation import (
+    _edge_min_from_times,
+    _left_time_at_vertex,
+    _right_time_at_vertex,
     _unimodal_edge_search,
     optimal_sink,
     theta,
@@ -57,6 +63,15 @@ FAMILY_LEFT_PAIR_INNER = "left_pair_inner"
 FAMILY_RIGHT_SINGLE = "right_single"
 FAMILY_RIGHT_PAIR = "right_pair"
 FAMILY_RIGHT_PAIR_INNER = "right_pair_inner"
+
+# A both-free pair's profile is the costliest to build and lies far above its
+# least scenario away from the low end of its range, so its bound starts from
+# _INNER_PIECES parts of the range; more parts cost more sink-independent floor
+# scans and leave fewer profiles to build, which keeps the cost of a vertex
+# from varying much between inputs.  A unit that survives its bound is bisected
+# at most _SPLITS times before its profile is built.
+_INNER_PIECES = 6
+_SPLITS = 6
 
 _MIRROR = {
     FAMILY_LEFT_SINGLE: FAMILY_RIGHT_SINGLE,
@@ -148,24 +163,91 @@ def _pair_profile(cache: SolveCache, i: int, j: int, u: int, box: Box) -> PwlFun
     )
 
 
+def _left_term(cache: SolveCache, family: str, i: Optional[int], j: int) -> tuple:
+    """A left family term's sink-independent parts, built once per cache: the
+    base scenario and free weight range of its arrival lines, the
+    subtrahend's edges, their profile builder, and least(alpha), the least
+    weights, vertex by vertex, of the term's scenarios with free weight at
+    least alpha."""
+
+    def build() -> tuple:
+        instance = cache.instance
+        if family == FAMILY_LEFT_PAIR_INNER:
+            box = _pair_box(instance, i, j)
+
+            def least(alpha: Fraction) -> Scenario:
+                a, b = max(box.a1, alpha - box.b2), max(box.b1, alpha - box.a2)
+                return two_varying(instance, i, j, a, b)
+
+            profile = partial(_pair_profile, cache, i, j, box=box)
+            base = two_varying(instance, i, j, 0, 0)
+            return base, box.alpha_lo, box.alpha_hi, range(i, j), profile, least
+        if family == FAMILY_LEFT_SINGLE:
+            varying, base = j, two_varying(instance, j, j, 0, 0)
+        else:
+            varying, base = i, two_varying(instance, i, j, 0, instance.weight_hi[j])
+        lo, hi = instance.weight_lo[varying], instance.weight_hi[varying]
+        profile = partial(_single_profile, cache, varying, base=base, lo=lo, hi=hi)
+        return base, lo, hi, range(j, instance.n), profile, partial(substitute, base, varying)
+
+    return cache.get(("left_term", family, i, j), build)
+
+
 def _left_setup(cache: SolveCache, family: str, i: Optional[int], j: int, x: Fraction):
-    """One left family term at sink x: its arrival line or envelope A, the
-    subtrahend's edges, their profile builder, and s_lo, the term's scenario
-    at the least free weight, whose optimal time bounds every profile below."""
-    instance = cache.instance
-    if family == FAMILY_LEFT_PAIR_INNER:
-        box = _pair_box(instance, i, j)
-        envelope = left_arrival_envelope(instance, i, j, x)
-        profile = partial(_pair_profile, cache, i, j, box=box)
-        return envelope, range(i, j), profile, two_varying(instance, i, j, box.a1, box.b1)
-    if family == FAMILY_LEFT_SINGLE:
-        varying, base = j, two_varying(instance, j, j, 0, 0)
-    else:
-        varying, base = i, two_varying(instance, i, j, 0, instance.weight_hi[j])
-    lo, hi = instance.weight_lo[varying], instance.weight_hi[varying]
-    line = arrival_envelope(instance, j, j, x, base, lo, hi)
-    profile = partial(_single_profile, cache, varying, base=base, lo=lo, hi=hi)
-    return line, range(j, instance.n), profile, substitute(base, varying, lo)
+    """One left family term at sink x: its arrival line, or for a both-free
+    pair left_arrival_envelope, A; then the edges, profile builder and least
+    of _left_term."""
+    base, lo, hi, edges, profile, least = _left_term(cache, family, i, j)
+    last = _last_before(cache.instance, x) if family == FAMILY_LEFT_PAIR_INNER else j
+    return arrival_envelope(cache.instance, j, last, x, base, lo, hi), edges, profile, least
+
+
+def _edge_floor(cache: SolveCache, s: Scenario, u: int) -> Fraction:
+    """The least evacuation time over edge u under s, from one-sided vertex
+    times memoized per scenario, so neighbouring edges share them."""
+
+    def times(k: int) -> list[Fraction]:
+        return cache.get(("vertex_times", s, k), lambda: [
+            f(cache.instance, k, s)[0] for f in (_left_time_at_vertex, _right_time_at_vertex)
+        ])
+
+    return _edge_min_from_times(cache.instance, u, times(u) + times(u + 1))[0]
+
+
+def _floors(cache: SolveCache, key: tuple, edges, least, cuts: list) -> list:
+    """Per edge u of the term `key`, the floors under least(p) at the cuts p."""
+
+    def build() -> list:
+        scenarios = [least(p) for p in cuts]
+        return [[_edge_floor(cache, s, u) for s in scenarios] for u in edges]
+
+    return cache.get(("floors", key), build)
+
+
+def _top(line: PwlFunction, p: Fraction, q: Fraction) -> Fraction:
+    """The max of A over [p, q]: at its ends or at a breakpoint between them."""
+    if (p, q) == (line.lo, line.hi):
+        return max(line.values)
+    inside = (v for b, v in zip(line.breakpoints, line.values) if p < b < q)
+    return max(line(p), line(q), *inside)
+
+
+def _refined_below(cache: SolveCache, line, least, u: int, pieces: list, best: Fraction) -> bool:
+    """Whether a unit's bound falls strictly below best once its highest piece
+    [bound, p, q, floor] is bisected, at most _SPLITS times: the left half
+    keeps the piece's floor, the right half takes the floor under its own
+    least scenario."""
+    for _ in range(_SPLITS):
+        piece = max(pieces)
+        if piece[0] < best or piece[1] == piece[2]:
+            break
+        pieces.remove(piece)
+        _, p, q, floor = piece
+        mid = (p + q) / 2
+        floor_mid = _edge_floor(cache, least(mid), u)
+        pieces += [[_top(line, p, mid) - floor, p, mid, floor],
+                   [_top(line, mid, q) - floor_mid, mid, q, floor_mid]]
+    return max(pieces)[0] < best
 
 
 def _best_term(family: str, i: Optional[int], j: int, line, edges, profile) -> _Term:
@@ -218,12 +300,16 @@ def left_arrival_envelope(
     x = to_fraction(x)
     base = two_varying(instance, i, j, 0, 0)
     box = _pair_box(instance, i, j)
-    t_max = instance.last_vertex_at_or_left(x)
-    if instance.positions[t_max] == x:
-        t_max -= 1
+    t_max = _last_before(instance, x)
     if t_max < j:
         raise PathModelError("no vertex between x_j and the sink")
     return arrival_envelope(instance, j, t_max, x, base, box.alpha_lo, box.alpha_hi)
+
+
+def _last_before(instance: PathInstance, x: Fraction) -> int:
+    """The last vertex strictly left of x."""
+    t = instance.last_vertex_at_or_left(x)
+    return t - 1 if instance.positions[t] == x else t
 
 
 def _pair_box(instance: PathInstance, i: int, j: int) -> Box:
@@ -252,11 +338,13 @@ def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
     """The left-side family terms at vertex x_m of the cache's instance that
     can reach the side's maximum, in family order; every other term is pruned.
 
-    A term is at most max(A) - OPT(s_lo) (see the module docstring).  Terms
-    are visited by descending max(A), which bounds the rest once it falls
-    strictly below the best value found; a term whose full bound is strictly
-    below it is skipped.  A pruned term is strictly below the side maximum,
-    so the maximum and every term tied with it are evaluated exactly."""
+    Units are visited by descending bound (see the module docstring), taken
+    over _INNER_PIECES parts of a both-free pair's weight range and over the
+    whole range otherwise, until a bound falls strictly below the best value
+    found; a unit is skipped if _refined_below shows its bound below it.
+    Every unit attaining the side maximum is evaluated, and a term keeps its
+    best evaluated unit, first edge on ties, so the maximum and the terms
+    tied with it come out exactly as from full evaluation."""
     instance = cache.instance
     x = instance.positions[m]
     keys = [(FAMILY_LEFT_SINGLE, None, j) for j in range(m)]
@@ -264,20 +352,33 @@ def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
         for i in range(j):
             keys += [(FAMILY_LEFT_PAIR, i, j), (FAMILY_LEFT_PAIR_INNER, i, j)]
     setups = [_left_setup(cache, *key, x) for key in keys]
-    peaks = [max(setup[0].values) for setup in setups]
+    parts, units = [], []
+    for k, (key, (line, edges, _, least)) in enumerate(zip(keys, setups)):
+        count = _INNER_PIECES if key[0] == FAMILY_LEFT_PAIR_INNER and line.lo < line.hi else 1
+        step = (line.hi - line.lo) / count
+        cuts = [line.lo, *(line.lo + step * t for t in range(1, count)), line.hi]
+        tops = [_top(line, p, q) for p, q in zip(cuts, cuts[1:])]
+        floors = _floors(cache, key, edges, least, cuts[:-1])
+        parts.append((cuts, tops, floors))
+        units += [(max(map(sub, tops, row)), k, e) for e, row in enumerate(floors)]
+    units.sort(key=itemgetter(0), reverse=True)
     best: Optional[Fraction] = None
     kept: dict[int, _Term] = {}
-    for k in sorted(range(len(keys)), key=peaks.__getitem__, reverse=True):
-        if best is not None and peaks[k] < best:
+    for bound, k, e in units:
+        if best is not None and bound < best:
             break
-        line, edges, profile, s_lo = setups[k]
+        line, edges, profile, least = setups[k]
+        u = edges[e]
         if best is not None:
-            opt_key = ("optimal_sink", s_lo)
-            opt = cache.get(opt_key, lambda: optimal_sink(instance, s_lo).value)
-            if peaks[k] - opt < best:
+            cuts, tops, floors = parts[k]
+            pieces = [[t - f, p, q, f] for t, f, p, q in zip(tops, floors[e], cuts, cuts[1:])]
+            if _refined_below(cache, line, least, u, pieces, best):
                 continue
-        kept[k] = term = _best_term(*keys[k], line, edges, profile)
-        best = term.value if best is None else max(best, term.value)
+        value, args = pwl.max_difference_all(line, profile(u))
+        term = kept.get(k)
+        if term is None or value > term.value or (value == term.value and u < term.edge):
+            kept[k] = _Term(value, *keys[k], u, tuple(args))
+        best = value if best is None else max(best, value)
     return [kept[k] for k in sorted(kept)]
 
 

@@ -1,17 +1,26 @@
 """The branch-and-bound over the family terms is exact.
 
-`RegretSolver.vertex_regret` evaluates only the family terms whose bound
-max(A) - OPT(s_lo) can reach the side's maximum.  These tests compare it with
-a full evaluation of every term through the public evaluators, check the
-bound on every term, and check that a solve really prunes."""
+`RegretSolver.vertex_regret` evaluates only the units (a term and one
+subtrahend edge u) whose bound can reach the side's maximum: over a part
+[p, q] of the free weight range, the max of A there minus the least time over
+edge u under least(p), the least weights of the term's scenarios with free
+weight at least p.  These tests compare it with a full evaluation of every
+term through the public evaluators, check that bound on every unit and part,
+and the coarser max(A) - OPT(s_lo) on every term, and check that a solve
+really prunes."""
 from __future__ import annotations
+
+from fractions import Fraction
+from functools import partial
 
 from hypothesis import given
 
-from evacregret import PathInstance, RegretSolver, optimal_sink
+from evacregret import PathInstance, RegretSolver, optimal_sink, pwl
 from evacregret import worst_case
 from evacregret.envelopes import SolveCache, arrival_envelope
+from evacregret.evacuation import theta_min_on_edge
 from evacregret.path_model import reflect_instance, substitute, two_varying
+from evacregret.profiles import Box, edge_min_profile, edge_min_profile_single
 from evacregret.worst_case import (
     eval_left_pair,
     eval_left_pair_inner,
@@ -72,6 +81,57 @@ def test_pruned_vertex_regret_equals_full_evaluation(inst):
     and every term is at most its bound, on the instance and its mirror."""
     check_against_full_evaluation(inst)
     check_against_full_evaluation(reflect_instance(inst))
+
+
+def left_units(inst: PathInstance, m: int, cache: SolveCache):
+    """(A, P_u, least, u) for every left family unit at x_m: the arrival line
+    or envelope, the profile over edge u, and the least scenario at a free
+    weight, each built here from the family definitions."""
+    x = inst.positions[m]
+    lo, hi = inst.weight_lo, inst.weight_hi
+    for j in range(m):
+        base = two_varying(inst, j, j, 0, 0)
+        line = arrival_envelope(inst, j, j, x, base, lo[j], hi[j])
+        for u in range(j, inst.n):
+            profile = edge_min_profile_single(inst, j, u, base, (lo[j], hi[j]), cache=cache)
+            yield line, profile, partial(substitute, base, j), u
+    for j in range(1, m):
+        for i in range(j):
+            base = two_varying(inst, i, j, 0, hi[j])
+            line = arrival_envelope(inst, j, j, x, base, lo[i], hi[i])
+            for u in range(j, inst.n):
+                profile = edge_min_profile_single(inst, i, u, base, (lo[i], hi[i]), cache=cache)
+                yield line, profile, partial(substitute, base, i), u
+
+            def least(alpha, i=i, j=j):
+                return two_varying(inst, i, j, max(lo[i], alpha - hi[j]), max(lo[j], alpha - hi[i]))
+
+            envelope = left_arrival_envelope(inst, i, j, x)
+            for u in range(i, j):
+                profile = edge_min_profile(inst, i, j, u, Box(lo[i], hi[i], lo[j], hi[j]), cache=cache)
+                yield envelope, profile, least, u
+
+
+def check_unit_bounds(inst: PathInstance) -> None:
+    """On each eighth [p, q] of a unit's free weight range (the whole range
+    when pinned), max (A - P_u) <= max A - theta_min_on_edge(u, least(p))."""
+    cache = SolveCache(inst)
+    for m in range(inst.vertex_count):
+        for line, profile, least, u in left_units(inst, m, cache):
+            cuts = [line.lo + (line.hi - line.lo) * Fraction(t, 8) for t in range(9)]
+            for p, q in zip(cuts, cuts[1:]):
+                value = pwl.max_difference_all(line, profile, (p, q))[0]
+                top = max(pwl.restrict(line, p, q).values)
+                assert value <= top - theta_min_on_edge(inst, u, least(p))[1]
+
+
+@DERANDOMIZED
+@given(instances())
+def test_unit_bound_holds_on_every_part(inst):
+    """The bound the search prunes by holds on every unit and every part of
+    its range, on the instance and on its mirror."""
+    check_unit_bounds(inst)
+    check_unit_bounds(reflect_instance(inst))
 
 
 def test_solve_prunes_profile_builds(monkeypatch):

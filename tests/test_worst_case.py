@@ -96,11 +96,13 @@ def test_left_pair_exact_on_positive_bounds():
 def test_left_pair_inner_fixture(t1):
     term = eval_left_pair_inner(t1, 0, 1, 2)
     assert term.value == 1
-    # right-side mirror exercised through the aggregate at x_0 (value 7/2)
+    # the right-side mirror at x_0 is the left side of the reflection at x_2
+    # (value 7/2); the aggregate there keeps only the side maximum, h = 4
+    # from a single term, so it prunes this pair
+    assert eval_left_pair_inner(reflect_instance(t1), 0, 1, 2).value == Fraction(7, 2)
     solver = RegretSolver(t1)
     left, mirrored = solver._terms_at_vertex(0)
-    inner = [t for t in mirrored if t.family == "left_pair_inner"]
-    assert max(t.value for t in inner) == Fraction(7, 2)
+    assert left == [] and max(t.value for t in mirrored) == solver.vertex_regret(0).h_value == 4
 
 
 def test_arrival_envelope_single_line(t1):
