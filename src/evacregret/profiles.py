@@ -23,13 +23,10 @@ from typing import Optional
 
 from . import pwl
 from .envelopes import SolveCache, cache_for, cached_envelope
-from .evacuation import _right_time_at_vertex
 from .path_model import (
     PathInstance,
     RationalLike,
     Scenario,
-    reflect_instance,
-    reflect_scenario,
     to_fraction,
     two_varying,
 )
@@ -111,19 +108,9 @@ def _require_within(f: PwlFunction, lo: Fraction, hi: Fraction, name: str):
 def _min_against_const_left(c: Fraction, f_right: PwlFunction, box: Box) -> PwlFunction:
     """min over the alpha-slice of max(c, fR(a2)): fR is minimized by pushing
     a1 as high as feasible."""
-    parts = []
-    if box.a1 < box.a2:
-        parts.append(pwl.constant(f_right(box.b1), box.alpha_lo, box.a2 + box.b1))
+    head = pwl.constant(f_right(box.b1), box.alpha_lo, box.a2 + box.b1)
     tail = pwl.shift_arg(pwl.restrict(f_right, box.b1, box.b2), box.a2)
-    glue = parts + [tail]
-    pieces = [(q, v) for part in glue for q, v in zip(part.breakpoints, part.values)]
-    dedup = [pieces[0]]
-    for q, v in pieces[1:]:
-        if q > dedup[-1][0]:
-            dedup.append((q, v))
-    joined = (
-        pwl.from_points(dedup) if len(dedup) > 1 else PwlFunction((dedup[0][0],), (dedup[0][1],))
-    )
+    joined = pwl.merge_min_to_total([head, tail], box.alpha_lo, box.alpha_hi)
     return pwl.merge_max(joined, pwl.constant(c, joined.lo, joined.hi))
 
 
@@ -373,8 +360,8 @@ def min_max_y_profile(
 # Vertex and edge evacuation profiles -------------------------------------------
 #
 # The builders below take the SolveCache of their instance and memoize every
-# part a neighbouring vertex or edge reuses: one-sided envelopes, vertex
-# profiles and single-varying vertex parts.
+# part a neighbouring vertex or edge reuses: one-sided envelopes and vertex
+# profiles.
 
 
 def _vertex_profile_core(
@@ -438,49 +425,6 @@ def edge_min_profile(
     return _edge_profile_core(base, i, j, k, box, cache_for(instance, cache))
 
 
-def _single_vertex_part(
-    base: Scenario, varying: int, k: int, lo: Fraction, hi: Fraction, cache: SolveCache
-) -> PwlFunction:
-    """Evacuation time at x_k with one varying weight at or left of x_k:
-    pointwise max of the left envelope and the right side's true constant."""
-
-    def build() -> PwlFunction:
-        moving = cached_envelope(cache, "left", varying, k, base, lo, hi)
-        fixed, _ = _right_time_at_vertex(cache.instance, k, base)
-        return pwl.merge_max(moving, pwl.constant(fixed, lo, hi))
-
-    return cache.get(("single_vertex_part", base, varying, k, lo, hi), build)
-
-
-def _edge_profile_single_core(
-    base: Scenario, varying: int, k: int, lo: Fraction, hi: Fraction, cache: SolveCache
-) -> PwlFunction:
-    """Single-varying edge profile (varying weight at or left of x_k) without
-    the two-coordinate machinery: both vertex parts plus the interior, whose
-    offset minimum against a constant side is the clamped balanced point."""
-    instance = cache.instance
-    xk, xk1 = instance.positions[k], instance.positions[k + 1]
-    at_left = _single_vertex_part(base, varying, k, lo, hi, cache)
-    at_right = _single_vertex_part(base, varying, k + 1, lo, hi, cache)
-    moving = pwl.add_const(
-        cached_envelope(cache, "left", varying, k + 1, base, lo, hi), -xk1
-    )
-    fixed = _right_time_at_vertex(instance, k, base)[0] + xk
-    # min over y of max(moving + y, fixed - y)
-    parts = [
-        pwl.add_const(moving, xk),
-        pwl.scale(pwl.add_const(moving, fixed), Fraction(1, 2)),
-        pwl.constant(fixed - xk1, lo, hi),
-    ]
-    interior = parts[0]
-    for p in parts[1:]:
-        interior = pwl.merge_max(interior, p)
-    interior = pwl.merge_max(interior, pwl.constant(0, lo, hi))
-    return pwl.canonical(
-        pwl.merge_min_total(pwl.merge_min_total(at_left, at_right), interior)
-    )
-
-
 def edge_min_profile_single(
     instance: PathInstance,
     j: int,
@@ -493,20 +437,21 @@ def edge_min_profile_single(
     """Min over sink positions on edge [x_k, x_{k+1}] of the evacuation time
     with only the weight at v_j varying, all others fixed by `base`.
 
-    Equivalent to the two-varying edge profile with an auxiliary coordinate
-    pinned at its base value, but built directly: the fixed side collapses to
-    a true constant and the interior offset minimum is closed-form.  `cache`,
-    when given, is the instance's SolveCache; it changes no result.
+    Built as the two-varying edge profile with a second coordinate pinned at
+    its base weight w: the weight at v_n for j <= k, at v_0 for j > k.  The
+    pinned vertex is the far end of the path, not a neighbour of the edge, so
+    neighbouring edges share their vertex profiles in `cache`.  `cache`, when
+    given, is the instance's SolveCache; it changes no result.
     """
     lo, hi = to_fraction(alpha_range[0]), to_fraction(alpha_range[1])
     if not (0 <= k < instance.n and 0 <= j < instance.vertex_count):
         raise ProfileError(f"edge_min_profile_single indices out of range: {j},{k}")
     cache = cache_for(instance, cache)
-    if j > k:
-        # the varying weight lies right of the edge: build on the mirror image
-        n = instance.n
-        mirror = reflect_instance(instance)
-        return _edge_profile_single_core(
-            reflect_scenario(base), n - j, n - 1 - k, lo, hi, SolveCache(mirror)
-        )
-    return _edge_profile_single_core(base, j, k, lo, hi, cache)
+    n = instance.n
+    if j <= k:
+        w = base.weights[n]
+        core = _edge_profile_core(base, j, n, k, Box(lo, hi, w, w), cache)
+    else:
+        w = base.weights[0]
+        core = _edge_profile_core(base, 0, j, k, Box(w, w, lo, hi), cache)
+    return pwl.shift_arg(core, -w)

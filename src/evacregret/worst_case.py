@@ -433,27 +433,21 @@ def _witness_scenarios(
     """Scenario candidates realizing a term's argmax over the cache's
     instance, best split first."""
     instance = cache.instance
+    if term.family != FAMILY_LEFT_PAIR_INNER:
+        least = _left_term(cache, term.family, term.i, term.j)[-1]
+        beta = None if term.family == FAMILY_LEFT_SINGLE else instance.weight_hi[term.j]
+        return [(least(alpha), alpha, beta) for alpha in term.alphas]
     out: list[tuple[Scenario, Fraction, Optional[Fraction]]] = []
-    if term.family == FAMILY_LEFT_SINGLE:
-        base = two_varying(instance, term.j, term.j, 0, 0)
-        for alpha in term.alphas:
-            out.append((substitute(base, term.j, alpha), alpha, None))
-    elif term.family == FAMILY_LEFT_PAIR:
-        beta = instance.weight_hi[term.j]
-        base = two_varying(instance, term.i, term.j, 0, beta)
-        for alpha in term.alphas:
-            out.append((substitute(base, term.i, alpha), alpha, beta))
-    else:
-        box = _pair_box(instance, term.i, term.j)
-        for alpha in term.alphas:
-            splits = _candidate_splits(cache, term.i, term.j, term.edge, alpha, box)
-            scored = []
-            for a1 in splits:
-                s = two_varying(instance, term.i, term.j, a1, alpha - a1)
-                scored.append((theta_min_on_edge(instance, term.edge, s)[1], a1, s))
-            scored.sort(key=lambda t: (t[0], t[1]))
-            for _, a1, s in scored:
-                out.append((s, a1, alpha - a1))
+    box = _pair_box(instance, term.i, term.j)
+    for alpha in term.alphas:
+        splits = _candidate_splits(cache, term.i, term.j, term.edge, alpha, box)
+        scored = []
+        for a1 in splits:
+            s = two_varying(instance, term.i, term.j, a1, alpha - a1)
+            scored.append((theta_min_on_edge(instance, term.edge, s)[1], a1, s))
+        scored.sort(key=lambda t: (t[0], t[1]))
+        for _, a1, s in scored:
+            out.append((s, a1, alpha - a1))
     return out
 
 

@@ -1,8 +1,10 @@
-"""Mirror symmetry on generated small instances, including the degenerate
-ones: zero-width intervals, zero lower bounds and all-zero weights.  The
-solver derives the right side of the path from the left by reflection; these
-properties check that the solver on the mirror image gives mirrored answers
-and that a profile built on the mirror matches the closed form."""
+"""Properties on generated small instances, including the degenerate ones:
+zero-width intervals, zero lower bounds and all-zero weights.  The solver
+derives the right side of the path from the left by reflection; these
+properties check that the solver on the mirror image gives mirrored answers,
+that a single-varying profile matches the closed form on either side of its
+edge, that scaling lengths and weights by c scales every regret by c, and
+that widening an interval never lowers a max regret."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -43,6 +45,11 @@ def instances(draw, min_n: int = 0) -> PathInstance:
     return PathInstance(positions, capacities, weight_lo, weight_hi)
 
 
+def vertices_and_midpoints(inst: PathInstance) -> list[Fraction]:
+    pos = inst.positions
+    return list(pos) + [(a + b) / 2 for a, b in zip(pos, pos[1:])]
+
+
 @DERANDOMIZED
 @given(instances())
 def test_max_regret_mirror_symmetric(inst):
@@ -61,8 +68,9 @@ def test_max_regret_mirror_symmetric(inst):
 @given(st.data())
 def test_single_profile_matches_edge_minimum(data):
     """The single-varying edge profile, with the varying weight on either side
-    of the edge (right of it, built on the mirror image), is the closed-form
-    edge minimum wherever the varying weight is positive, and everywhere on a
+    of the edge (the pair profile with v_n pinned when it lies at or left of
+    the edge, with v_0 pinned when right of it), is the closed-form edge
+    minimum wherever the varying weight is positive, and everywhere on a
     pinned range."""
     inst = data.draw(instances(min_n=1))
     k = data.draw(st.integers(0, inst.n - 1))
@@ -78,3 +86,39 @@ def test_single_profile_matches_edge_minimum(data):
         if alpha > 0 or lo == hi:
             expected = theta_min_on_edge(inst, k, substitute(base, j, alpha))[1]
             assert profile(alpha) == expected
+
+
+@DERANDOMIZED
+@given(instances(), QUARTERS)
+def test_regret_scales_with_lengths_and_weights(inst, c):
+    """Multiplying positions and weight bounds by c multiplies every time,
+    hence max_regret at every vertex and edge midpoint and min_max_regret's
+    value and location, by c."""
+    scaled = PathInstance(
+        [c * p for p in inst.positions],
+        inst.capacities,
+        [c * w for w in inst.weight_lo],
+        [c * w for w in inst.weight_hi],
+    )
+    solver, scaled_solver = RegretSolver(inst), RegretSolver(scaled)
+    for x in vertices_and_midpoints(inst):
+        assert scaled_solver.max_regret(c * x).value == c * solver.max_regret(x).value
+    best, scaled_best = solver.min_max_regret(), scaled_solver.min_max_regret()
+    assert scaled_best.value == c * best.value
+    assert scaled_best.location.value == c * best.location.value
+
+
+@DERANDOMIZED
+@given(st.data())
+def test_widening_an_interval_never_lowers_max_regret(data):
+    """A wider interval at one vertex admits every scenario of the narrower
+    one, so max_regret at every vertex and edge midpoint cannot fall."""
+    inst = data.draw(instances())
+    v = data.draw(st.integers(0, inst.n))
+    weight_lo, weight_hi = list(inst.weight_lo), list(inst.weight_hi)
+    weight_lo[v] = max(Fraction(0), weight_lo[v] - data.draw(WEIGHTS))
+    weight_hi[v] += data.draw(WEIGHTS)
+    wider = PathInstance(inst.positions, inst.capacities, weight_lo, weight_hi)
+    solver, wider_solver = RegretSolver(inst), RegretSolver(wider)
+    for x in vertices_and_midpoints(inst):
+        assert wider_solver.max_regret(x).value >= solver.max_regret(x).value

@@ -309,11 +309,13 @@ def test_shared_cache_changes_no_profile():
                 inst.weight_lo[i], inst.weight_hi[i], inst.weight_lo[j], inst.weight_hi[j]
             )
             base = two_varying(inst, i, j, 0, inst.weight_hi[j])
-            span = (inst.weight_lo[i], inst.weight_hi[i])
             for k in range(i, j):
                 assert edge_min_profile(inst, i, j, k, box, cache=cache) == \
                     edge_min_profile(inst, i, j, k, box)
-                assert edge_min_profile_single(inst, i, k, base, span, cache=cache) == \
-                    edge_min_profile_single(inst, i, k, base, span)
+                # the varying weight at or left of the edge (i), and right of it (j)
+                for v in (i, j):
+                    span = (inst.weight_lo[v], inst.weight_hi[v])
+                    assert edge_min_profile_single(inst, v, k, base, span, cache=cache) == \
+                        edge_min_profile_single(inst, v, k, base, span)
     with pytest.raises(ValueError):
         edge_min_profile(reflect_instance(inst), 0, n, 0, box, cache=cache)

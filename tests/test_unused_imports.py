@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses.  The package's
-`__init__` re-exports the names listed in its `__all__`, so those count as
-used there.  Checked with the standard-library `ast`, since the suite needs no
-linter."""
+"""No module of the package imports a name it never uses, and no private
+module-level name is defined that no module of the package reads.  The
+package's `__init__` re-exports the names listed in its `__all__`, so those
+count as used there.  Checked with the standard-library `ast`, since the suite
+needs no linter."""
 from __future__ import annotations
 
 import ast
@@ -46,6 +47,51 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each module-level `_`-prefixed function, class or constant, with its
+    line number; dunder names are not private."""
+    names: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names the module reads: as a `Name`, an `Attribute` or an import."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level names, over modules given by name and
+    source, that no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(_read_names, trees.values()))
+    return [
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    ]
+
+
 def test_checker_finds_an_unused_import():
     source = "import json\nfrom typing import Optional, Union\nx: Optional[int] = None\n"
     assert unused_imports(source) == ["line 1: json", "line 2: Union"]
@@ -59,3 +105,20 @@ def test_no_unused_imports_in_package():
         if (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_checker_finds_an_unread_private_name():
+    sources = {
+        "a": "_LIMIT = 3\n_SEEN: int = 0\n__all__ = []\n"
+             "def _helper():\n    return _LIMIT\n"
+             "def _orphan():\n    pass\nclass _Unused:\n    pass\n",
+        "b": "from .a import _helper\nimport a\nx = a._SEEN\n",
+    }
+    assert unread_private_names(sources) == ["a line 6: _orphan", "a line 8: _Unused"]
+
+
+def test_no_unread_private_names_in_package():
+    sources = {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert unread_private_names(sources) == []
