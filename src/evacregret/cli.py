@@ -23,7 +23,7 @@ from .path_model import (
 )
 from .profiles import Box, ProfileError, edge_min_profile, vertex_min_profile
 from .pwl import PwlFunction
-from .worst_case import RegretReport, RegretSolver, Witness
+from .worst_case import RegretReport, RegretSolver, Witness, left_arrival_envelope
 
 
 def _load_instance(path: str) -> PathInstance:
@@ -115,8 +115,6 @@ def _named_profile(name: str, instance: PathInstance, scenario: Optional[Scenari
             return vertex_min_profile(instance, i, j, k, box)
         return edge_min_profile(instance, i, j, k, box)
     if kind == "F":
-        from .worst_case import left_arrival_envelope
-
         i, j, x = int(parts[1]), int(parts[2]), to_fraction(parts[3])
         return left_arrival_envelope(instance, i, j, x)
     raise PathModelError(f"unknown profile name {name!r}")

@@ -13,21 +13,21 @@ per-vertex search is an exact branch-and-bound over units, one per term and
 subtrahend edge u.  A unit's value is max_alpha (A(alpha) - P_u(alpha)),
 where A is the arrival line or envelope and P_u(alpha) is a min-evacuation
 time over edge u and the family's scenarios with free weight alpha (its
-envelopes can only overstate the true time).  For alpha in [p, q] each of
-those scenarios lies, weight by weight, at or above least(p), the least
-weights of the family's scenarios with free weight at least p, and adding
-weight never speeds an evacuation, so P_u(alpha) is at least the least
-time over edge u under least(p), and max of A on [p, q] minus that time
-bounds the unit there.  A unit whose bound is strictly below a value already
-found can be neither the side's maximum nor tied with it.  The times under
-least(p) do not depend on the sink and are memoized per solve.
+envelopes can only overstate the true time).  Each of those scenarios lies,
+weight by weight, at or above least(lo), the least weights of the family's
+scenarios over its whole free weight range, and adding weight never speeds
+an evacuation, so P_u(alpha) is at least the least time over edge u under
+least(lo), and max(A) minus that time bounds the unit.  A unit whose bound is
+strictly below a value already found can be neither the side's maximum nor
+tied with it.  The times under least(lo) do not depend on the sink and are
+memoized per solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Optional, Union
 
 from . import pwl
@@ -63,15 +63,6 @@ FAMILY_LEFT_PAIR_INNER = "left_pair_inner"
 FAMILY_RIGHT_SINGLE = "right_single"
 FAMILY_RIGHT_PAIR = "right_pair"
 FAMILY_RIGHT_PAIR_INNER = "right_pair_inner"
-
-# A both-free pair's profile is the costliest to build and lies far above its
-# least scenario away from the low end of its range, so its bound starts from
-# _INNER_PIECES parts of the range; more parts cost more sink-independent floor
-# scans and leave fewer profiles to build, which keeps the cost of a vertex
-# from varying much between inputs.  A unit that survives its bound is bisected
-# at most _SPLITS times before its profile is built.
-_INNER_PIECES = 6
-_SPLITS = 6
 
 _MIRROR = {
     FAMILY_LEFT_SINGLE: FAMILY_RIGHT_SINGLE,
@@ -214,40 +205,10 @@ def _edge_floor(cache: SolveCache, s: Scenario, u: int) -> Fraction:
     return _edge_min_from_times(cache.instance, u, times(u) + times(u + 1))[0]
 
 
-def _floors(cache: SolveCache, key: tuple, edges, least, cuts: list) -> list:
-    """Per edge u of the term `key`, the floors under least(p) at the cuts p."""
-
-    def build() -> list:
-        scenarios = [least(p) for p in cuts]
-        return [[_edge_floor(cache, s, u) for s in scenarios] for u in edges]
-
-    return cache.get(("floors", key), build)
-
-
-def _top(line: PwlFunction, p: Fraction, q: Fraction) -> Fraction:
-    """The max of A over [p, q]: at its ends or at a breakpoint between them."""
-    if (p, q) == (line.lo, line.hi):
-        return max(line.values)
-    inside = (v for b, v in zip(line.breakpoints, line.values) if p < b < q)
-    return max(line(p), line(q), *inside)
-
-
-def _refined_below(cache: SolveCache, line, least, u: int, pieces: list, best: Fraction) -> bool:
-    """Whether a unit's bound falls strictly below best once its highest piece
-    [bound, p, q, floor] is bisected, at most _SPLITS times: the left half
-    keeps the piece's floor, the right half takes the floor under its own
-    least scenario."""
-    for _ in range(_SPLITS):
-        piece = max(pieces)
-        if piece[0] < best or piece[1] == piece[2]:
-            break
-        pieces.remove(piece)
-        _, p, q, floor = piece
-        mid = (p + q) / 2
-        floor_mid = _edge_floor(cache, least(mid), u)
-        pieces += [[_top(line, p, mid) - floor, p, mid, floor],
-                   [_top(line, mid, q) - floor_mid, mid, q, floor_mid]]
-    return max(pieces)[0] < best
+def _floors(cache: SolveCache, key: tuple, edges, s_lo: Scenario) -> list[Fraction]:
+    """The floor of each edge u of the term `key` under its least scenario
+    s_lo, built once per cache."""
+    return cache.get(("floors", key), lambda: [_edge_floor(cache, s_lo, u) for u in edges])
 
 
 def _best_term(family: str, i: Optional[int], j: int, line, edges, profile) -> _Term:
@@ -298,12 +259,9 @@ def left_arrival_envelope(
     lines of every vertex between x_j and the sink (the true maximum when
     both weights are pinned)."""
     x = to_fraction(x)
-    base = two_varying(instance, i, j, 0, 0)
-    box = _pair_box(instance, i, j)
-    t_max = _last_before(instance, x)
-    if t_max < j:
+    if _last_before(instance, x) < j:
         raise PathModelError("no vertex between x_j and the sink")
-    return arrival_envelope(instance, j, t_max, x, base, box.alpha_lo, box.alpha_hi)
+    return _left_setup(SolveCache(instance), FAMILY_LEFT_PAIR_INNER, i, j, x)[0]
 
 
 def _last_before(instance: PathInstance, x: Fraction) -> int:
@@ -339,12 +297,11 @@ def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
     can reach the side's maximum, in family order; every other term is pruned.
 
     Units are visited by descending bound (see the module docstring), taken
-    over _INNER_PIECES parts of a both-free pair's weight range and over the
-    whole range otherwise, until a bound falls strictly below the best value
-    found; a unit is skipped if _refined_below shows its bound below it.
-    Every unit attaining the side maximum is evaluated, and a term keeps its
-    best evaluated unit, first edge on ties, so the maximum and the terms
-    tied with it come out exactly as from full evaluation."""
+    over the whole free weight range, until a bound falls strictly below the
+    best value found.  Every unit attaining the side maximum is evaluated,
+    and a term keeps its best evaluated unit, first edge on ties, so the
+    maximum and the terms tied with it come out exactly as from full
+    evaluation."""
     instance = cache.instance
     x = instance.positions[m]
     keys = [(FAMILY_LEFT_SINGLE, None, j) for j in range(m)]
@@ -352,28 +309,18 @@ def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
         for i in range(j):
             keys += [(FAMILY_LEFT_PAIR, i, j), (FAMILY_LEFT_PAIR_INNER, i, j)]
     setups = [_left_setup(cache, *key, x) for key in keys]
-    parts, units = [], []
+    units = []
     for k, (key, (line, edges, _, least)) in enumerate(zip(keys, setups)):
-        count = _INNER_PIECES if key[0] == FAMILY_LEFT_PAIR_INNER and line.lo < line.hi else 1
-        step = (line.hi - line.lo) / count
-        cuts = [line.lo, *(line.lo + step * t for t in range(1, count)), line.hi]
-        tops = [_top(line, p, q) for p, q in zip(cuts, cuts[1:])]
-        floors = _floors(cache, key, edges, least, cuts[:-1])
-        parts.append((cuts, tops, floors))
-        units += [(max(map(sub, tops, row)), k, e) for e, row in enumerate(floors)]
+        top = max(line.values)
+        floors = _floors(cache, key, edges, least(line.lo))
+        units += [(top - floor, k, u) for u, floor in zip(edges, floors)]
     units.sort(key=itemgetter(0), reverse=True)
     best: Optional[Fraction] = None
     kept: dict[int, _Term] = {}
-    for bound, k, e in units:
+    for bound, k, u in units:
         if best is not None and bound < best:
             break
-        line, edges, profile, least = setups[k]
-        u = edges[e]
-        if best is not None:
-            cuts, tops, floors = parts[k]
-            pieces = [[t - f, p, q, f] for t, f, p, q in zip(tops, floors[e], cuts, cuts[1:])]
-            if _refined_below(cache, line, least, u, pieces, best):
-                continue
+        line, _, profile, _ = setups[k]
         value, args = pwl.max_difference_all(line, profile(u))
         term = kept.get(k)
         if term is None or value > term.value or (value == term.value and u < term.edge):
@@ -472,20 +419,11 @@ class RegretSolver:
 
     # -- per-vertex aggregation
 
-    def _terms_at_vertex(self, m: int) -> tuple[list[_Term], list[_Term]]:
-        left = _left_terms(self._cache, m)
-        mirrored = _left_terms(self._reflected_cache, self.instance.n - m)
-        return left, mirrored
-
-    def _reflect_term_witness(
-        self, scenario: Scenario, term: _Term
-    ) -> tuple[Scenario, _Term]:
-        return reflect_scenario(scenario), _mirror_term(self.instance, term)
-
     def vertex_regret(self, m: int) -> VertexRegret:
         if m in self._vertex_cache:
             return self._vertex_cache[m]
-        left, mirrored = self._terms_at_vertex(m)
+        left = _left_terms(self._cache, m)
+        mirrored = _left_terms(self._reflected_cache, self.instance.n - m)
         g_value = max((t.value for t in left), default=None)
         h_value = max((t.value for t in mirrored), default=None)
         if g_value is None and h_value is None:
@@ -518,11 +456,10 @@ class RegretSolver:
         fallback: Optional[Witness] = None
         for term, is_mirror in candidates:
             source = self._reflected_cache if is_mirror else self._cache
+            mapped = _mirror_term(self.instance, term) if is_mirror else term
             for scenario, alpha, beta in _witness_scenarios(source, term):
                 if is_mirror:
-                    scenario, mapped = self._reflect_term_witness(scenario, term)
-                else:
-                    mapped = term
+                    scenario = reflect_scenario(scenario)
                 witness = Witness(
                     mapped.family, mapped.i, mapped.j, mapped.edge, alpha, beta, scenario
                 )
@@ -551,7 +488,8 @@ class RegretSolver:
         self, k: int, x: Fraction
     ) -> tuple[Optional[Fraction], Optional[Fraction], Fraction]:
         """Left/right family maxima strictly inside edge k, via the vertex
-        values shifted by the travel offset."""
+        values shifted by the travel offset, and the max regret there, which
+        is never negative (the shifted values can be, when every weight is 0)."""
         right_vertex = self.vertex_regret(k + 1)
         left_vertex = self.vertex_regret(k)
         g = None
@@ -560,9 +498,7 @@ class RegretSolver:
         h = None
         if left_vertex.h_value is not None:
             h = left_vertex.h_value - (x - self.instance.positions[k])
-        if g is None and h is None:
-            return None, None, Fraction(0)
-        value = max(v for v in (g, h) if v is not None)
+        value = max(v for v in (g, h, Fraction(0)) if v is not None)
         return g, h, value
 
     def _interior_witness(

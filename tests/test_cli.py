@@ -88,6 +88,22 @@ def test_maxregret(t1_file, capsys):
     assert out["witness"]["scenario"] == ["2", "0", "0"]
 
 
+def test_maxregret_all_zero_weights_is_zero(tmp_path, capsys):
+    # inside an edge the vertex values shifted by the travel offset fall
+    # below 0 when no weight can move; a regret never does
+    doc = {
+        "vertices": [
+            {"position": p, "w_min": "0", "w_max": "0"} for p in ("0", "1", "3")
+        ],
+        "capacities": ["1", "2"],
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    for sink in ("1/2", "2"):
+        assert run(["maxregret", "--instance", str(path), "--sink", sink]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "0"
+
+
 def test_minmax_regret(t1_file, capsys):
     assert run(["minmax-regret", "--instance", t1_file]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -3,8 +3,9 @@ zero-width intervals, zero lower bounds and all-zero weights.  The solver
 derives the right side of the path from the left by reflection; these
 properties check that the solver on the mirror image gives mirrored answers,
 that a single-varying profile matches the closed form on either side of its
-edge, that scaling lengths and weights by c scales every regret by c, and
-that widening an interval never lowers a max regret."""
+edge, that scaling lengths and weights by c scales every regret by c, that
+widening an interval never lowers a max regret, and that a max regret is
+never negative and its witness replays to it."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evacregret import PathInstance, RegretSolver, Scenario
+from evacregret import PathInstance, RegretSolver, Scenario, regret
 from evacregret.evacuation import theta_min_on_edge
 from evacregret.path_model import reflect_instance, substitute
 from evacregret.profiles import edge_min_profile_single
@@ -122,3 +123,16 @@ def test_widening_an_interval_never_lowers_max_regret(data):
     solver, wider_solver = RegretSolver(inst), RegretSolver(wider)
     for x in vertices_and_midpoints(inst):
         assert wider_solver.max_regret(x).value >= solver.max_regret(x).value
+
+
+@DERANDOMIZED
+@given(instances())
+def test_max_regret_is_nonnegative_and_replays(inst):
+    """At every vertex and edge midpoint the max regret is at least 0, and a
+    reported witness scenario replays through the evacuation module to it."""
+    solver = RegretSolver(inst)
+    for x in vertices_and_midpoints(inst):
+        report = solver.max_regret(x)
+        assert report.value >= 0
+        if report.witness is not None:
+            assert regret(inst, x, report.witness.scenario) == report.value

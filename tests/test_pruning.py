@@ -1,13 +1,16 @@
 """The branch-and-bound over the family terms is exact.
 
 `RegretSolver.vertex_regret` evaluates only the units (a term and one
-subtrahend edge u) whose bound can reach the side's maximum: over a part
-[p, q] of the free weight range, the max of A there minus the least time over
-edge u under least(p), the least weights of the term's scenarios with free
-weight at least p.  These tests compare it with a full evaluation of every
-term through the public evaluators, check that bound on every unit and part,
-and the coarser max(A) - OPT(s_lo) on every term, and check that a solve
-really prunes."""
+subtrahend edge u) whose bound can reach the side's maximum: the max of A
+minus the least time over edge u under least(lo), the least weights of the
+term's scenarios.  These tests compare it with a full evaluation of every
+term through the public evaluators; check, on every unit and every part
+[p, q] of the free weight range, the finer bound: the max of A there minus
+the least time over edge u under least(p), the least weights of the term's
+scenarios with free weight at least p (the solver uses only the part
+[lo, hi]; the per-part test stays as a stronger property than the solver
+needs); check the coarser max(A) - OPT(s_lo) on every term; and check that a
+solve really prunes."""
 from __future__ import annotations
 
 from fractions import Fraction

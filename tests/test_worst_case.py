@@ -101,7 +101,8 @@ def test_left_pair_inner_fixture(t1):
     # from a single term, so it prunes this pair
     assert eval_left_pair_inner(reflect_instance(t1), 0, 1, 2).value == Fraction(7, 2)
     solver = RegretSolver(t1)
-    left, mirrored = solver._terms_at_vertex(0)
+    left = worst_case._left_terms(solver._cache, 0)
+    mirrored = worst_case._left_terms(solver._reflected_cache, t1.n)
     assert left == [] and max(t.value for t in mirrored) == solver.vertex_regret(0).h_value == 4
 
 
