@@ -27,6 +27,7 @@ from . import pwl
 from .evacuation import _left_time_at_vertex
 from .path_model import (
     PathInstance,
+    PathModelError,
     RationalLike,
     Scenario,
     min_capacity,
@@ -88,7 +89,10 @@ def left_envelope_raw(
 ) -> PwlFunction:
     """Left evacuation time at x_vertex as a function of the weight at
     v_varying, as an upper envelope of lines.  Size and build time O(n).
-    A one-point range [lo, lo] gives the true time with that weight at lo."""
+    A one-point range [lo, lo] gives the true time with that weight at lo.
+    Indices outside 0..n are refused."""
+    if not (0 <= varying <= instance.n and 0 <= vertex <= instance.n):
+        raise PathModelError(f"envelope indices out of range: {varying}, {vertex}")
     lo, hi = to_fraction(lo), to_fraction(hi)
     pos = instance.positions
     if lo == hi or vertex == 0 or varying >= vertex:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional, Union
 
 from .path_model import (
@@ -14,6 +15,8 @@ from .path_model import (
     as_point,
     min_capacity,
     prefix_weight,
+    reflect_instance,
+    reflect_scenario,
 )
 
 ZERO = Fraction(0)
@@ -92,20 +95,16 @@ def _left_time_at_vertex(
 def _right_time_at_vertex(
     instance: PathInstance, j: int, s: Scenario
 ) -> tuple[Fraction, Optional[int]]:
-    best = ZERO
-    critical: Optional[int] = None
-    pos = instance.positions
-    xj = pos[j]
-    cap = None
-    for i in range(j + 1, instance.vertex_count):
-        cap = instance.capacities[i - 1] if cap is None else min(cap, instance.capacities[i - 1])
-        weight = prefix_weight(s, i, instance.n)
-        if weight == 0:
-            continue
-        t = (pos[i] - xj) + weight / cap
-        if t > best:
-            best, critical = t, i
-    return best, critical
+    """_left_time_at_vertex on the mirror image of the path, with the critical
+    vertex mapped back."""
+    n = instance.n
+    best, critical = _left_time_at_vertex(reflect_instance(instance), n - j, reflect_scenario(s))
+    return best, None if critical is None else n - critical
+
+
+def _vertex_times(instance: PathInstance, j: int, s: Scenario) -> tuple[Fraction, Fraction]:
+    """The (left, right) one-sided times at x_j."""
+    return _left_time_at_vertex(instance, j, s)[0], _right_time_at_vertex(instance, j, s)[0]
 
 
 def theta(
@@ -146,8 +145,7 @@ def theta_min_on_edge(
     """
     if not (0 <= k < instance.n):
         raise PathModelError(f"edge index out of range: {k}")
-    times = [f(instance, v, s)[0] for v in (k, k + 1)
-             for f in (_left_time_at_vertex, _right_time_at_vertex)]
+    times = _vertex_times(instance, k, s) + _vertex_times(instance, k + 1, s)
     value, y = _edge_min_from_times(instance, k, times)
     return as_point(instance, y), value
 
@@ -157,71 +155,61 @@ def _edge_min_from_times(instance: PathInstance, k: int, times) -> tuple[Fractio
     (left, right) at x_k and then at x_{k+1}."""
     tl_k, tr_k, tl_k1, tr_k1 = times
     xk, xk1 = instance.positions[k], instance.positions[k + 1]
-    theta_k = max(tl_k, tr_k)
-    theta_k1 = max(tl_k1, tr_k1)
-
     # interior: max(tl_k1 - (xk1 - y), tr_k - (y - xk)), floored at 0
-    candidates: list[tuple[Fraction, Fraction]] = [(theta_k, xk), (theta_k1, xk1)]
     cross = (xk + xk1 + tr_k - tl_k1) / 2
     y_star = min(max(cross, xk), xk1)
     interior = max(tl_k1 - (xk1 - y_star), tr_k - (y_star - xk), ZERO)
     if interior == 0:
         # zero is attained on a segment; report its leftmost point
         y_star = xk + tr_k
-    candidates.append((interior, y_star))
-    return min(candidates, key=lambda c: (c[0], c[1]))
+    # least value first, then leftmost position
+    return min((max(tl_k, tr_k), xk), (max(tl_k1, tr_k1), xk1), (interior, y_star))
 
 
-def _unimodal_edge_search(
-    edge_minimum: Callable[[int], tuple], n_edges: int
-) -> tuple:
-    """The least `edge_minimum(k)` over a weakly-unimodal sequence of edges,
-    where each entry starts with (minimum value, leftmost minimizing position).
+def _first_crossing(
+    sides: Callable[[int], tuple[Optional[Fraction], Optional[Fraction]]], n: int
+) -> int:
+    """The least vertex j in 0..n whose left value reaches its right value,
+    where `sides(j)` is the pair (left, right) at x_j and None counts as
+    below every value.
 
-    Standard halving on comparisons of adjacent values; ties move left, which
-    is sound because non-bottom plateaus cannot occur (interior slopes are
-    exactly +-1, never flat).  The located edge and both neighbours are then
-    compared directly, which also guards the jump discontinuities at
-    vertices; ties go to the leftmost position.  Each edge is evaluated once.
-    """
-    entries: dict[int, tuple] = {}
-
-    def entry(k: int) -> tuple:
-        if k not in entries:
-            entries[k] = edge_minimum(k)
-        return entries[k]
-
-    lo, hi = 0, n_edges - 1
+    Each left value is a max over the vertices left of x_j of arrival times
+    at x_j (minus a sink-independent optimum, for regrets).  As j grows,
+    each arrival time gains the added distance, its bottleneck capacity can
+    only fall, and new vertices join the max, so left values never fall; by
+    reflection right values never rise.  So "left reaches right" turns true
+    once and stays true, and bisection finds j in O(log n) calls.  Inside an
+    edge the left part rises and the right part falls at slope 1; at a vertex
+    the left part can only jump up and the right part down.  So the max of
+    the two exceeds its value at x_{j-1} left of it and is at least its value
+    at x_j right of it: its leftmost minimum lies on edge j - 1, or at x_0
+    when j = 0."""
+    lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi) // 2
-        if entry(mid)[0] <= entry(mid + 1)[0]:
+        left, right = sides(mid)
+        if right is None or (left is not None and left >= right):
             hi = mid
         else:
             lo = mid + 1
-    nearby = [entry(k) for k in range(max(0, lo - 1), min(n_edges, lo + 2))]
-    return min(nearby, key=lambda e: (e[0], e[1]))
+    return lo
 
 
 def optimal_sink(instance: PathInstance, s: Scenario) -> OptSink:
-    """Global minimizer of the evacuation time.
+    """Global minimizer of the evacuation time, leftmost on ties.
 
-    The time is unimodal in the sink position, so a binary search over
-    per-edge closed-form minima locates the optimal edge with O(log n)
-    evaluations; the located edge and both neighbors are then checked
-    directly, which also guards the jump discontinuities at vertices.
-    Ties return the leftmost minimizer; the all-zero scenario returns x_0.
+    Bisection on the one-sided vertex times (_first_crossing) finds the
+    vertex j at which the left time first reaches the right time; the
+    closed-form minimum over edge j - 1 then finishes from the four times
+    already probed.  When j = 0 the right time at x_0 is 0, so x_0 is
+    optimal with value 0; this covers n = 0 and the all-zero scenario.
     """
-    if prefix_weight(s, 0, instance.n) == 0:
+    sides = cache(lambda j: _vertex_times(instance, j, s))
+    j = _first_crossing(sides, instance.n)
+    if j == 0:
         return OptSink(Point(instance.positions[0], 0), ZERO)
-    if instance.n == 0:
-        return OptSink(Point(instance.positions[0], 0), ZERO)
-
-    def edge_minimum(k: int) -> tuple[Fraction, Fraction, Point]:
-        point, value = theta_min_on_edge(instance, k, s)
-        return value, point.value, point
-
-    value, _, point = _unimodal_edge_search(edge_minimum, instance.n)
-    return OptSink(point, value)
+    value, y = _edge_min_from_times(instance, j - 1, sides(j - 1) + sides(j))
+    return OptSink(as_point(instance, y), value)
 
 
 def regret(

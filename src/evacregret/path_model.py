@@ -327,7 +327,13 @@ def reflect_instance(instance: PathInstance) -> PathInstance:
 
 
 def reflect_scenario(s: Scenario) -> Scenario:
-    return Scenario(tuple(reversed(s.weights)))
+    """The scenario on the mirror image of the path, built once per scenario
+    and kept on it, as reflect_instance does."""
+    cached = s.__dict__.get("_mirror")
+    if cached is None:
+        cached = Scenario(tuple(reversed(s.weights)))
+        object.__setattr__(s, "_mirror", cached)
+    return cached
 
 
 # JSON instance / scenario formats --------------------------------------------

@@ -27,16 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter
+from heapq import heapify, heappop
 from typing import Optional, Union
 
 from . import pwl
 from .envelopes import SolveCache, arrival_envelope, cache_for, cached_envelope
 from .evacuation import (
     _edge_min_from_times,
-    _left_time_at_vertex,
-    _right_time_at_vertex,
-    _unimodal_edge_search,
+    _first_crossing,
+    _vertex_times,
     optimal_sink,
     theta,
     theta_min_on_edge,
@@ -197,10 +196,8 @@ def _edge_floor(cache: SolveCache, s: Scenario, u: int) -> Fraction:
     """The least evacuation time over edge u under s, from one-sided vertex
     times memoized per scenario, so neighbouring edges share them."""
 
-    def times(k: int) -> list[Fraction]:
-        return cache.get(("vertex_times", s, k), lambda: [
-            f(cache.instance, k, s)[0] for f in (_left_time_at_vertex, _right_time_at_vertex)
-        ])
+    def times(k: int) -> tuple[Fraction, Fraction]:
+        return cache.get(("vertex_times", s, k), lambda: _vertex_times(cache.instance, k, s))
 
     return _edge_min_from_times(cache.instance, u, times(u) + times(u + 1))[0]
 
@@ -296,12 +293,12 @@ def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
     """The left-side family terms at vertex x_m of the cache's instance that
     can reach the side's maximum, in family order; every other term is pruned.
 
-    Units are visited by descending bound (see the module docstring), taken
-    over the whole free weight range, until a bound falls strictly below the
-    best value found.  Every unit attaining the side maximum is evaluated,
-    and a term keeps its best evaluated unit, first edge on ties, so the
-    maximum and the terms tied with it come out exactly as from full
-    evaluation."""
+    Units are popped from a heap by descending bound (see the module
+    docstring), taken over the whole free weight range, then by term and
+    edge, until a bound falls strictly below the best value found.  Every
+    unit attaining the side maximum is evaluated, and a term keeps its best
+    evaluated unit, first edge on ties, so the maximum and the terms tied
+    with it come out exactly as from full evaluation."""
     instance = cache.instance
     x = instance.positions[m]
     keys = [(FAMILY_LEFT_SINGLE, None, j) for j in range(m)]
@@ -313,12 +310,13 @@ def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
     for k, (key, (line, edges, _, least)) in enumerate(zip(keys, setups)):
         top = max(line.values)
         floors = _floors(cache, key, edges, least(line.lo))
-        units += [(top - floor, k, u) for u, floor in zip(edges, floors)]
-    units.sort(key=itemgetter(0), reverse=True)
+        units += [(floor - top, k, u) for u, floor in zip(edges, floors)]
+    heapify(units)
     best: Optional[Fraction] = None
     kept: dict[int, _Term] = {}
-    for bound, k, u in units:
-        if best is not None and bound < best:
+    while units:
+        negative_bound, k, u = heappop(units)
+        if best is not None and -negative_bound < best:
             break
         line, _, profile, _ = setups[k]
         value, args = pwl.max_difference_all(line, profile(u))
@@ -538,20 +536,22 @@ class RegretSolver:
         return min(candidates, key=lambda c: (c[0], c[1]))
 
     def min_max_regret(self) -> RegretReport:
-        """Minmax regret over the whole path: binary search over per-edge
-        minima of the unimodal max-regret, then exact edge-local minimization;
-        returns the leftmost minimizer."""
+        """Minmax regret over the whole path, leftmost minimizer.
+
+        Bisection on the per-vertex side maxima g and h (_first_crossing)
+        finds the vertex j at which g first reaches h, and the minimum is
+        _edge_minimum(j - 1); j = 0 only when n = 0, where x_0 is the path."""
         inst = self.instance
         if all(hi == 0 for hi in inst.weight_hi):
             return RegretReport(Fraction(0), Point(inst.positions[0], 0), None)
-        if inst.n == 0:
-            rep = self.vertex_regret(0)
-            return RegretReport(rep.value, Point(inst.positions[0], 0), rep.witness)
 
-        best_value, best_point = _unimodal_edge_search(self._edge_minimum, inst.n)
-        location = as_point(inst, best_point)
-        report = self.max_regret(location)
-        return RegretReport(best_value, location, report.witness)
+        def sides(m: int) -> tuple[Optional[Fraction], Optional[Fraction]]:
+            report = self.vertex_regret(m)
+            return report.g_value, report.h_value
+
+        j = _first_crossing(sides, inst.n)
+        x = inst.positions[0] if j == 0 else self._edge_minimum(j - 1)[1]
+        return self.max_regret(x)
 
 
 def max_regret(instance: PathInstance, x: Union[Point, RationalLike]) -> RegretReport:

@@ -155,6 +155,14 @@ def test_dump_pwl(t1_file, capsys):
     assert rows[0] == "0,1,1/2"
 
 
+def test_dump_pwl_refuses_out_of_range_envelope_indices(t1_file, capsys):
+    for name in ("lue:-1:2", "lue:-3:1", "lue:0:-1", "rue:-1:0", "lue:1:5"):
+        assert run(["dump-pwl", "--instance", t1_file, "--name", name]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "envelope indices out of range" in captured.err
+
+
 def test_missing_file_is_validation_error(capsys):
     assert run(["maxregret", "--instance", "/nonexistent.json", "--sink", "0"]) == 1
 

@@ -4,8 +4,9 @@ derives the right side of the path from the left by reflection; these
 properties check that the solver on the mirror image gives mirrored answers,
 that a single-varying profile matches the closed form on either side of its
 edge, that scaling lengths and weights by c scales every regret by c, that
-widening an interval never lowers a max regret, and that a max regret is
-never negative and its witness replays to it."""
+widening an interval never lowers a max regret, that a max regret is never
+negative and its witness replays to it, and that the minmax search returns
+the leftmost minimum over every vertex and edge."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evacregret import PathInstance, RegretSolver, Scenario, regret
-from evacregret.evacuation import theta_min_on_edge
+from evacregret.evacuation import _first_crossing, theta_min_on_edge
 from evacregret.path_model import reflect_instance, substitute
 from evacregret.profiles import edge_min_profile_single
 
@@ -136,3 +137,21 @@ def test_max_regret_is_nonnegative_and_replays(inst):
         assert report.value >= 0
         if report.witness is not None:
             assert regret(inst, x, report.witness.scenario) == report.value
+
+
+@DERANDOMIZED
+@given(instances())
+def test_min_max_regret_is_leftmost_minimum_over_vertices_and_edges(inst):
+    """min_max_regret's value and location are the leftmost minimum over
+    every vertex's max regret and every edge's exact minimum, and the side
+    maxima at the vertices make "g reaches h" false up to one vertex and
+    true from it, which _first_crossing then finds."""
+    solver = RegretSolver(inst)
+    sides = [(r.g_value, r.h_value) for r in map(solver.vertex_regret, range(inst.n + 1))]
+    reaches = [h is None or (g is not None and g >= h) for g, h in sides]
+    assert reaches == sorted(reaches)
+    assert _first_crossing(sides.__getitem__, inst.n) == reaches.index(True)
+    candidates = [(solver.max_regret(x).value, x) for x in inst.positions]
+    candidates += [solver._edge_minimum(u) for u in range(inst.n)]
+    best = solver.min_max_regret()
+    assert (best.value, best.location.value) == min(candidates)
