@@ -1,17 +1,18 @@
 """Evacuation time at a vertex as a piecewise-linear function of one varying weight.
 
 The one-sided evacuation time at a fixed vertex, with a single vertex weight
-treated as the variable, is the upper envelope of one line per contributing
-vertex: terms depending on the variable become true lines, terms that do not
-are folded into a single constant evaluated with the exact zero-weight rule.
-The envelope is therefore the linear extension of the one-sided time: it
-agrees with the true time everywhere except possibly at a single boundary
-value of the variable where every weight behind one of its lines vanishes
-(where that vertex's true arrival time drops to zero while its line keeps the
-extension).  A one-point
-range pins a single scenario, so there the true time applies instead; this
-module is the one place that rule is decided.  The right side is the left
-side of the mirror image of the path.
+treated as the variable, is the max of one arrival time per contributing
+vertex, and arrival_envelope is the one place those times are written as
+lines: the vertices whose prefix weight carries the variable give the lines,
+and the vertices before the variable give one constant, their true time under
+the exact zero-weight rule.  The envelope is therefore the linear extension
+of the one-sided time: it agrees with the true time everywhere except
+possibly at a single boundary value of the variable where every weight behind
+one of its lines vanishes (where that vertex's true arrival time drops to
+zero while its line keeps the extension).  A one-point range pins a single
+scenario, so there the true time applies instead; this module is the one
+place that rule is decided.  The right side is the left side of the mirror
+image of the path.
 
 Envelopes, like the profiles built on them, depend on the instance and their
 vertex and weight arguments but never on the sink, so a solver memoizes them
@@ -88,13 +89,13 @@ def left_envelope_raw(
     hi: RationalLike,
 ) -> PwlFunction:
     """Left evacuation time at x_vertex as a function of the weight at
-    v_varying, as an upper envelope of lines.  Size and build time O(n).
+    v_varying: the arrival_envelope of v_varying..v_{vertex-1}, raised to the
+    true time of the vertices before v_varying.  Size and build time O(n).
     A one-point range [lo, lo] gives the true time with that weight at lo.
     Indices outside 0..n are refused."""
     if not (0 <= varying <= instance.n and 0 <= vertex <= instance.n):
         raise PathModelError(f"envelope indices out of range: {varying}, {vertex}")
     lo, hi = to_fraction(lo), to_fraction(hi)
-    pos = instance.positions
     if lo == hi or vertex == 0 or varying >= vertex:
         # a pinned weight, no contributing terms, or the variable sits at or
         # right of the vertex: the time is one true value
@@ -102,25 +103,16 @@ def left_envelope_raw(
         value, _ = _left_time_at_vertex(instance, vertex, scenario)
         return pwl.constant(value, lo, hi)
 
-    w_var = base.weights[varying]
-    const_best: Optional[Fraction] = None
-    lines: list[Line] = []
-    cap: Optional[Fraction] = None
-    for t in range(vertex - 1, -1, -1):
-        cap = instance.capacities[t] if cap is None else min(cap, instance.capacities[t])
-        dist = pos[vertex] - pos[t]
-        w_prefix = prefix_weight(base, 0, t)
-        if t >= varying:
-            lines.append(Line(1 / cap, dist + (w_prefix - w_var) / cap))
-        else:
-            g = Fraction(0) if w_prefix == 0 else dist + w_prefix / cap
-            if const_best is None or g > const_best:
-                const_best = g
-    ordered: list[Line] = []
-    if const_best is not None:
-        ordered.append(Line(0, const_best))
-    ordered.extend(lines)
-    return pwl.upper_envelope(ordered, (lo, hi))
+    x = instance.positions[vertex]
+    # v_varying..v_{vertex-1} carry the variable in their prefix weights
+    moving = arrival_envelope(
+        instance, varying, vertex - 1, x, substitute(base, varying, 0), lo, hi
+    )
+    if varying == 0:
+        return moving
+    # the vertices left of v_varying do not move: their true, zero-aware time
+    fixed = arrival_envelope(instance, 0, varying - 1, x, base, Fraction(0), Fraction(0))
+    return pwl.merge_max(moving, pwl.constant(fixed.values[0], lo, hi))
 
 
 def arrival_envelope(

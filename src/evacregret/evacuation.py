@@ -13,7 +13,6 @@ from .path_model import (
     RationalLike,
     Scenario,
     as_point,
-    min_capacity,
     prefix_weight,
     reflect_instance,
     reflect_scenario,
@@ -37,36 +36,6 @@ class EvacResult:
 class OptSink:
     location: Point
     value: Fraction
-
-
-def left_vertex_time(
-    instance: PathInstance, i: int, x: Union[Point, RationalLike], s: Scenario
-) -> Fraction:
-    """Time for all weight on v_0..v_i to finish arriving at x from the left:
-    travel plus congestion through the bottleneck capacity, zero if that weight
-    is zero."""
-    pt = x.value if isinstance(x, Point) else Fraction(x)
-    if instance.positions[i] >= pt:
-        raise PathModelError(f"left_vertex_time requires x_{i} < x")
-    weight = prefix_weight(s, 0, i)
-    if weight == 0:
-        return ZERO
-    cap = min_capacity(instance, instance.positions[i], pt)
-    return (pt - instance.positions[i]) + weight / cap
-
-
-def right_vertex_time(
-    instance: PathInstance, i: int, x: Union[Point, RationalLike], s: Scenario
-) -> Fraction:
-    """Mirror of left_vertex_time for weight on v_i..v_n arriving from the right."""
-    pt = x.value if isinstance(x, Point) else Fraction(x)
-    if instance.positions[i] <= pt:
-        raise PathModelError(f"right_vertex_time requires x < x_{i}")
-    weight = prefix_weight(s, i, instance.n)
-    if weight == 0:
-        return ZERO
-    cap = min_capacity(instance, pt, instance.positions[i])
-    return (instance.positions[i] - pt) + weight / cap
 
 
 def _left_time_at_vertex(

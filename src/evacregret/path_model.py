@@ -61,8 +61,6 @@ class PathInstance:
     capacities: tuple[Fraction, ...]
     weight_lo: tuple[Fraction, ...]
     weight_hi: tuple[Fraction, ...]
-    _lo_prefix: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    _hi_prefix: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -75,12 +73,6 @@ class PathInstance:
         object.__setattr__(self, "capacities", tuple(to_fraction(v) for v in capacities))
         object.__setattr__(self, "weight_lo", tuple(to_fraction(v) for v in weight_lo))
         object.__setattr__(self, "weight_hi", tuple(to_fraction(v) for v in weight_hi))
-        object.__setattr__(
-            self, "_lo_prefix", tuple(accumulate(self.weight_lo, initial=Fraction(0)))
-        )
-        object.__setattr__(
-            self, "_hi_prefix", tuple(accumulate(self.weight_hi, initial=Fraction(0)))
-        )
 
     def __hash__(self) -> int:
         # hashing tuples of Fractions is costly; cache it (instances are hot
@@ -101,10 +93,6 @@ class PathInstance:
     @property
     def vertex_count(self) -> int:
         return len(self.positions)
-
-    @property
-    def length(self) -> Fraction:
-        return self.positions[-1] - self.positions[0]
 
     def edge_length(self, k: int) -> Fraction:
         return self.positions[k + 1] - self.positions[k]

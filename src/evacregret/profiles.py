@@ -146,8 +146,6 @@ def _min_max_core(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFun
     a1, a2, b1, b2 = box.a1, box.a2, box.b1, box.b2
     _require_within(f_left, a1, a2, "f_left")
     _require_within(f_right, b1, b2, "f_right")
-    if a1 == a2 and b1 == b2:
-        return pwl.constant(max(f_left(a1), f_right(b1)), box.alpha_lo, box.alpha_hi)
     if a1 == a2:
         return pwl.merge_max(
             pwl.shift_arg(pwl.restrict(f_right, b1, b2), a1),
@@ -263,13 +261,6 @@ def _min_max_offset_core(
         if any(m2 <= m1 for m1, m2 in zip(slopes, slopes[1:])):
             raise ProfileError(f"{name} slope sequence must be strictly increasing")
 
-    def clamped_pair(va: Fraction, vb: Fraction) -> Fraction:
-        y = (vb - va) / 2
-        y = min(max(y, y_lo), y_hi)
-        return max(va + y, vb - y)
-
-    if a1 == a2 and b1 == b2:
-        return pwl.constant(clamped_pair(fl(a1), fr(b1)), box.alpha_lo, box.alpha_hi)
     if a1 == a2:
         moved = pwl.shift_arg(fr, a1)
         parts = [

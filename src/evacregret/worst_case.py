@@ -188,7 +188,9 @@ def _left_setup(cache: SolveCache, family: str, i: Optional[int], j: int, x: Fra
     pair left_arrival_envelope, A; then the edges, profile builder and least
     of _left_term."""
     base, lo, hi, edges, profile, least = _left_term(cache, family, i, j)
-    last = _last_before(cache.instance, x) if family == FAMILY_LEFT_PAIR_INNER else j
+    last = j
+    if family == FAMILY_LEFT_PAIR_INNER:
+        last = cache.instance.first_vertex_at_or_right(x) - 1  # the last vertex left of x
     return arrival_envelope(cache.instance, j, last, x, base, lo, hi), edges, profile, least
 
 
@@ -256,15 +258,9 @@ def left_arrival_envelope(
     lines of every vertex between x_j and the sink (the true maximum when
     both weights are pinned)."""
     x = to_fraction(x)
-    if _last_before(instance, x) < j:
+    if instance.first_vertex_at_or_right(x) <= j:
         raise PathModelError("no vertex between x_j and the sink")
     return _left_setup(SolveCache(instance), FAMILY_LEFT_PAIR_INNER, i, j, x)[0]
-
-
-def _last_before(instance: PathInstance, x: Fraction) -> int:
-    """The last vertex strictly left of x."""
-    t = instance.last_vertex_at_or_left(x)
-    return t - 1 if instance.positions[t] == x else t
 
 
 def _pair_box(instance: PathInstance, i: int, j: int) -> Box:
@@ -523,11 +519,8 @@ class RegretSolver:
         left_rep, right_rep = self.vertex_regret(u), self.vertex_regret(u + 1)
         g1, h0 = right_rep.g_value, left_rep.h_value
         # the interior max(g rising, h falling) is least at their clamped
-        # crossing, or at the far end of the one side present
-        if g1 is not None and h0 is not None:
-            y = min(max((xl + xr + h0 - g1) / 2, xl), xr)
-        else:
-            y = xr if g1 is None and h0 is not None else xl
+        # crossing; both are set, as x_{u+1} has a left term and x_u a right one
+        y = min(max((xl + xr + h0 - g1) / 2, xl), xr)
         candidates = [
             (left_rep.value, xl),
             (right_rep.value, xr),

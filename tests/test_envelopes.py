@@ -7,7 +7,7 @@ from fractions import Fraction
 from evacregret import PathInstance, Scenario, pwl, theta
 from evacregret.envelopes import left_envelope_raw, right_envelope_raw
 from evacregret.evacuation import _left_time_at_vertex, _right_time_at_vertex
-from evacregret.path_model import reflect_instance, substitute, two_varying
+from evacregret.path_model import prefix_weight, reflect_instance, substitute, two_varying
 
 from conftest import random_instance, random_scenario, rational
 
@@ -86,28 +86,37 @@ def test_theta_of_alpha_interior_point(t1):
 
 
 def test_envelopes_agree_with_closed_form():
-    """Exact equality against the evacuation module wherever the varying
-    cumulative weight stays positive (alpha > 0, and alpha = 0 when the base
-    prefix is already positive)."""
+    """Exact equality against the evacuation module at every breakpoint and
+    piece midpoint where the cumulative weight behind the varying vertex
+    (v_0..v_varying on the left, v_varying..v_n on the right) is positive.
+    Ranges are [0, hi], [lo, hi] and [lo, lo]; the base's varying weight is 0
+    or not, and in a quarter of the cases other weights are zeroed."""
     rng = random.Random(101)
-    checked = 0
-    while checked < 200:
+    for case in range(240):
         inst = random_instance(rng, max_n=7, zero_lower=rng.random() < 0.5)
-        base = random_scenario(rng, inst)
         varying = rng.randint(0, inst.n)
         vertex = rng.randint(0, inst.n)
+        base = random_scenario(rng, inst)
+        if case % 4 == 0:
+            base = Scenario([0 if rng.random() < 0.4 else w for w in base.weights])
+        base = substitute(base, varying, 0 if case % 2 else inst.weight_hi[varying])
         hi = inst.weight_hi[varying] + 1
-        alpha = rational(rng, Fraction(1, 16), hi, 16)
-        left = left_envelope_raw(inst, varying, vertex, base, 0, hi)
-        right = right_envelope_raw(inst, varying, vertex, base, 0, hi)
-        s = substitute(base, varying, alpha)
-        assert left(alpha) == _left_time_at_vertex(inst, vertex, s)[0]
-        assert right(alpha) == _right_time_at_vertex(inst, vertex, s)[0]
-        assert left.is_good() and right.is_good()
-        cap_bound = 1 / min(inst.capacities)
-        assert all(m <= cap_bound for m in left.slopes())
-        assert all(m <= cap_bound for m in right.slopes())
-        checked += 1
+        lo = rational(rng, Fraction(1, 16), hi / 2, 16) if case % 3 else Fraction(0)
+        if case % 3 == 2:
+            hi = lo
+        sides = (
+            (left_envelope_raw, _left_time_at_vertex, 0, varying),
+            (right_envelope_raw, _right_time_at_vertex, varying, inst.n),
+        )
+        for build, true_time, first, last in sides:
+            env = build(inst, varying, vertex, base, lo, hi)
+            q = env.breakpoints
+            for alpha in q + tuple((a + b) / 2 for a, b in zip(q, q[1:])):
+                s = substitute(base, varying, alpha)
+                if prefix_weight(s, first, last) > 0:
+                    assert env(alpha) == true_time(inst, vertex, s)[0]
+            assert env.is_good()
+            assert all(m <= 1 / min(inst.capacities) for m in env.slopes())
 
 
 def test_theta_of_alpha_nondecreasing():

@@ -4,27 +4,36 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import pytest
-
-from evacregret import PathModelError, Scenario, optimal_sink, regret, theta
-from evacregret.evacuation import left_vertex_time, right_vertex_time, theta_min_on_edge
+from evacregret import Scenario, optimal_sink, regret, theta
+from evacregret.envelopes import arrival_envelope
+from evacregret.evacuation import theta_min_on_edge
 from evacregret.path_model import reflect_instance, reflect_scenario
 
 from conftest import dense_theta_min, random_instance, random_scenario, rational
 
 
-def test_left_vertex_time_examples(t1):
-    assert left_vertex_time(t1, 0, 1, Scenario([1, 0, 1])) == 2
-    assert left_vertex_time(t1, 0, 1, Scenario([0, 0, 1])) == 0
-    assert left_vertex_time(t1, 1, 2, Scenario([1, 1, 0])) == 2
-    with pytest.raises(PathModelError):
-        left_vertex_time(t1, 1, 1, Scenario([1, 1, 0]))
+def left_arrival(inst, i, x, s):
+    """Time for all weight on v_0..v_i to reach x > x_i from the left, zero
+    if that weight is zero: a one-point arrival envelope."""
+    return arrival_envelope(inst, i, i, Fraction(x), s, Fraction(0), Fraction(0)).values[0]
 
 
-def test_right_vertex_time_examples(t1):
-    assert right_vertex_time(t1, 2, 1, Scenario([1, 0, 1])) == Fraction(3, 2)
-    assert right_vertex_time(t1, 1, 0, Scenario([1, 1, 1])) == 3
-    assert right_vertex_time(t1, 2, 0, Scenario([1, 0, 0])) == 0
+def right_arrival(inst, i, x, s):
+    """Mirror of left_arrival for weight on v_i..v_n reaching x < x_i."""
+    end = inst.positions[-1]
+    return left_arrival(reflect_instance(inst), inst.n - i, end - x, reflect_scenario(s))
+
+
+def test_left_arrival_time_examples(t1):
+    assert left_arrival(t1, 0, 1, Scenario([1, 0, 1])) == 2
+    assert left_arrival(t1, 0, 1, Scenario([0, 0, 1])) == 0
+    assert left_arrival(t1, 1, 2, Scenario([1, 1, 0])) == 2
+
+
+def test_right_arrival_time_examples(t1):
+    assert right_arrival(t1, 2, 1, Scenario([1, 0, 1])) == Fraction(3, 2)
+    assert right_arrival(t1, 1, 0, Scenario([1, 1, 1])) == 3
+    assert right_arrival(t1, 2, 0, Scenario([1, 0, 0])) == 0
 
 
 def test_theta_examples(t1):

@@ -5,8 +5,9 @@ properties check that the solver on the mirror image gives mirrored answers,
 that a single-varying profile matches the closed form on either side of its
 edge, that scaling lengths and weights by c scales every regret by c, that
 widening an interval never lowers a max regret, that a max regret is never
-negative and its witness replays to it, and that the minmax search returns
-the leftmost minimum over every vertex and edge."""
+negative and its witness replays to it, that the grid oracle falls below it
+by at most 2h/c_min, and that the minmax search returns the leftmost minimum
+over every vertex and edge."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from evacregret import PathInstance, RegretSolver, Scenario, regret
 from evacregret.evacuation import _first_crossing, theta_min_on_edge
+from evacregret.oracle import GridConfig, GridOracle
 from evacregret.path_model import reflect_instance, substitute
 from evacregret.profiles import edge_min_profile_single
 
@@ -137,6 +139,19 @@ def test_max_regret_is_nonnegative_and_replays(inst):
         assert report.value >= 0
         if report.witness is not None:
             assert regret(inst, x, report.witness.scenario) == report.value
+
+
+@DERANDOMIZED
+@given(instances(min_n=1))
+def test_grid_oracle_within_two_sided_bound(inst):
+    """At every vertex and edge midpoint the grid oracle's max regret, over
+    two-varying scenarios on a grid of spacing h, is at most the exact one
+    and short of it by at most 2h/c_min."""
+    h = Fraction(1, 4)
+    solver, oracle = RegretSolver(inst), GridOracle(inst, GridConfig(h))
+    slack = 2 * h / min(inst.capacities)
+    for x in vertices_and_midpoints(inst):
+        assert 0 <= solver.max_regret(x).value - oracle.max_regret(x) <= slack
 
 
 @DERANDOMIZED

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from evacregret import PathInstance, PathModelError, Scenario, validate
-from evacregret.evacuation import left_vertex_time
 from evacregret.path_model import (
     emit_instance,
     emit_scenario,
@@ -82,8 +81,6 @@ def test_min_capacity_refuses_points_off_the_path():
         min_capacity(inst, -1, 1)
     with pytest.raises(PathModelError):
         min_capacity(inst, 0, 5)
-    with pytest.raises(PathModelError):
-        left_vertex_time(inst, 0, 5, Scenario([1, 0, 0, 0, 0]))
 
 
 def range_min_scan(data, start, stop):

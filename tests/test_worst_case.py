@@ -66,7 +66,8 @@ def test_left_pair_exact_on_positive_bounds():
     """With positive lower bounds the pair evaluator equals the true family
     maximum: at least every sampled value, and exactly reproduced when the
     reported argmax is replayed through the closed forms."""
-    from evacregret.evacuation import left_vertex_time, theta_min_on_edge
+    from evacregret.envelopes import arrival_envelope
+    from evacregret.evacuation import theta_min_on_edge
 
     rng = random.Random(307)
     for _ in range(10):
@@ -85,7 +86,7 @@ def test_left_pair_exact_on_positive_bounds():
             subtrahend = min(
                 theta_min_on_edge(inst, u, s)[1] for u in range(j, n)
             )
-            return left_vertex_time(inst, j, x, s) - subtrahend
+            return arrival_envelope(inst, j, j, x, s, 0, 0).values[0] - subtrahend
 
         for t in range(33):
             alpha = lo + (hi - lo) * Fraction(t, 32)
