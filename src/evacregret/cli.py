@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import oracle, pwl
+from . import oracle
 from .envelopes import left_envelope_raw, right_envelope_raw
 from .evacuation import optimal_sink, regret, theta
 from .path_model import (
@@ -21,7 +21,7 @@ from .path_model import (
     to_fraction,
     validate,
 )
-from .profiles import Box, ProfileError, edge_min_profile, vertex_min_profile
+from .profiles import Box, edge_min_profile, vertex_min_profile
 from .pwl import PwlFunction
 from .worst_case import RegretReport, RegretSolver, Witness, left_arrival_envelope
 
@@ -188,7 +188,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         instance = _load_instance(args.instance)
-    except (OSError, PathModelError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         if args.command == "validate" and isinstance(exc, PathModelError):
             _emit({"errors": str(exc).split("; "), "ok": False})
             return 1
@@ -247,15 +247,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             return 0
         if args.command == "oracle":
             return _run_oracle(args, instance)
-    except (
-        PathModelError,
-        pwl.PwlError,
-        ProfileError,
-        OSError,
-        json.JSONDecodeError,
-        ValueError,
-        IndexError,
-    ) as exc:
+    except (OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

@@ -128,8 +128,13 @@ def arrival_envelope(
     vertices first..last, as a weight alpha in [lo, hi] is added to every one
     of their prefix weights over `base`.  A one-point range gives the true
     maximum, in which a vertex whose prefix weight is zero arrives at time 0.
-    Size and build time O(last - first + 1)."""
+    Size and build time O(last - first + 1).  Anything but
+    0 <= first <= last < n and x_last < x is refused."""
     pos = instance.positions
+    if not (0 <= first <= last < instance.n and pos[last] < x):
+        raise PathModelError(
+            f"arrival_envelope needs 0 <= first <= last < n and x_last < x, got {first}, {last}, {x}"
+        )
     cap = min_capacity(instance, pos[last], x)
     lines: list[Line] = []
     weights: list[Fraction] = []

@@ -95,13 +95,6 @@ def constant(value: RationalLike, lo: RationalLike, hi: RationalLike) -> PwlFunc
     return PwlFunction((lo, hi), (value, value))
 
 
-def from_line(line: Line, lo: RationalLike, hi: RationalLike) -> PwlFunction:
-    lo, hi = to_fraction(lo), to_fraction(hi)
-    if lo == hi:
-        return PwlFunction((lo,), (line.at(lo),))
-    return PwlFunction((lo, hi), (line.at(lo), line.at(hi)))
-
-
 def canonical(f: PwlFunction) -> PwlFunction:
     """Merge consecutive co-linear pieces so sizes compare deterministically."""
     if f.size <= 1:

@@ -5,28 +5,28 @@ scenarios, each leaving at most two vertex weights free.  Every family's
 contribution at a sink is the max of a difference of two piecewise-linear
 functions of the free total weight: an arrival-time line (or envelope of
 lines) minus a min-evacuation profile.  The left-to-right families are
-evaluated directly; the mirrored families reuse the same code on the
-reflected instance.
+evaluated directly and the mirrored families by the same code on the
+reflected instance.  Each left term, a family at fixed vertex indices, is one
+`_LeftTerm` built once per solve, which holds everything that defines it.
 
 Only each side's maximum and the terms tied with it reach a report, so the
 per-vertex search is an exact branch-and-bound over units, one per term and
-subtrahend edge u.  A unit's value is max_alpha (A(alpha) - P_u(alpha)),
-where A is the arrival line or envelope and P_u(alpha) is a min-evacuation
-time over edge u and the family's scenarios with free weight alpha (its
-envelopes can only overstate the true time).  Each of those scenarios lies,
-weight by weight, at or above least(lo), the least weights of the family's
-scenarios over its whole free weight range, and adding weight never speeds
-an evacuation, so P_u(alpha) is at least the least time over edge u under
-least(lo), and max(A) minus that time bounds the unit.  A unit whose bound is
-strictly below a value already found can be neither the side's maximum nor
-tied with it.  The times under least(lo) do not depend on the sink and are
-memoized per solve.
+subtrahend edge u; the unpruned public evaluators take the best of a term's
+units.  A unit's value is max_alpha (A(alpha) - P_u(alpha)), where A is the
+arrival line or envelope and P_u(alpha) is a min-evacuation time over edge u
+and the family's scenarios with free weight alpha (its envelopes can only
+overstate the true time).  Each of those scenarios lies, weight by weight, at
+or above least(lo), the least weights of the family's scenarios over its whole
+free weight range, and adding weight never speeds an evacuation, so P_u(alpha)
+is at least the least time over edge u under least(lo), and max(A) minus that
+time bounds the unit.  A unit whose bound is strictly below a value already
+found can be neither the side's maximum nor tied with it.  The times under
+least(lo) do not depend on the sink and are memoized per solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from heapq import heapify, heappop
 from typing import Optional, Union
 
@@ -123,77 +123,6 @@ class VertexRegret:
 # Left-side family evaluators ----------------------------------------------------
 
 
-def _check_left_family(
-    instance: PathInstance, j: int, x: Fraction, i: Optional[int] = None
-) -> None:
-    """A left family needs 0 <= j < n, 0 <= i < j for a pair, and x_j < x <= x_n."""
-    if not (0 <= j < instance.n and (i is None or 0 <= i < j)):
-        raise PathModelError(f"left family indices out of range: {i}, {j}")
-    if not instance.positions[j] < x <= instance.positions[-1]:
-        raise PathModelError(f"left family needs x_{j} < x <= x_n, got x = {x}")
-
-
-def _single_profile(
-    cache: SolveCache, varying: int, u: int, base: Scenario, lo: Fraction, hi: Fraction
-) -> PwlFunction:
-    """edge_min_profile_single over the cache's instance, built once per cache."""
-    return cache.get(
-        ("edge_min_profile_single", varying, u, base, lo, hi),
-        lambda: edge_min_profile_single(
-            cache.instance, varying, u, base, (lo, hi), cache=cache
-        ),
-    )
-
-
-def _pair_profile(cache: SolveCache, i: int, j: int, u: int, box: Box) -> PwlFunction:
-    """edge_min_profile over the cache's instance, built once per cache."""
-    return cache.get(
-        ("edge_min_profile", i, j, u, box),
-        lambda: edge_min_profile(cache.instance, i, j, u, box, cache=cache),
-    )
-
-
-def _left_term(cache: SolveCache, family: str, i: Optional[int], j: int) -> tuple:
-    """A left family term's sink-independent parts, built once per cache: the
-    base scenario and free weight range of its arrival lines, the
-    subtrahend's edges, their profile builder, and least(alpha), the least
-    weights, vertex by vertex, of the term's scenarios with free weight at
-    least alpha."""
-
-    def build() -> tuple:
-        instance = cache.instance
-        if family == FAMILY_LEFT_PAIR_INNER:
-            box = _pair_box(instance, i, j)
-
-            def least(alpha: Fraction) -> Scenario:
-                a, b = max(box.a1, alpha - box.b2), max(box.b1, alpha - box.a2)
-                return two_varying(instance, i, j, a, b)
-
-            profile = partial(_pair_profile, cache, i, j, box=box)
-            base = two_varying(instance, i, j, 0, 0)
-            return base, box.alpha_lo, box.alpha_hi, range(i, j), profile, least
-        if family == FAMILY_LEFT_SINGLE:
-            varying, base = j, two_varying(instance, j, j, 0, 0)
-        else:
-            varying, base = i, two_varying(instance, i, j, 0, instance.weight_hi[j])
-        lo, hi = instance.weight_lo[varying], instance.weight_hi[varying]
-        profile = partial(_single_profile, cache, varying, base=base, lo=lo, hi=hi)
-        return base, lo, hi, range(j, instance.n), profile, partial(substitute, base, varying)
-
-    return cache.get(("left_term", family, i, j), build)
-
-
-def _left_setup(cache: SolveCache, family: str, i: Optional[int], j: int, x: Fraction):
-    """One left family term at sink x: its arrival line, or for a both-free
-    pair left_arrival_envelope, A; then the edges, profile builder and least
-    of _left_term."""
-    base, lo, hi, edges, profile, least = _left_term(cache, family, i, j)
-    last = j
-    if family == FAMILY_LEFT_PAIR_INNER:
-        last = cache.instance.first_vertex_at_or_right(x) - 1  # the last vertex left of x
-    return arrival_envelope(cache.instance, j, last, x, base, lo, hi), edges, profile, least
-
-
 def _edge_floor(cache: SolveCache, s: Scenario, u: int) -> Fraction:
     """The least evacuation time over edge u under s, from one-sided vertex
     times memoized per scenario, so neighbouring edges share them."""
@@ -204,29 +133,104 @@ def _edge_floor(cache: SolveCache, s: Scenario, u: int) -> Fraction:
     return _edge_min_from_times(cache.instance, u, times(u) + times(u + 1))[0]
 
 
-def _floors(cache: SolveCache, key: tuple, edges, s_lo: Scenario) -> list[Fraction]:
-    """The floor of each edge u of the term `key` under its least scenario
-    s_lo, built once per cache."""
-    return cache.get(("floors", key), lambda: [_edge_floor(cache, s_lo, u) for u in edges])
+@dataclass(frozen=True)
+class _LeftTerm:
+    """One left family term over the cache's instance, for every sink: the
+    base scenario of its arrival lines and the free weight range [lo, hi]
+    added to it, and the subtrahend's edges.  A single-varying family frees
+    the weight at v_varying; a both-free pair frees v_i and v_j within box."""
+
+    cache: SolveCache
+    family: str
+    i: Optional[int]
+    j: int
+    base: Scenario
+    lo: Fraction
+    hi: Fraction
+    edges: range
+    varying: Optional[int] = None
+    box: Optional[Box] = None
+
+    def arrival(self, x: Fraction) -> PwlFunction:
+        """A at sink x: the arrival line of v_j, or for a both-free pair the
+        envelope of v_j..the last vertex left of x (left_arrival_envelope)."""
+        instance = self.cache.instance
+        last = self.j if self.box is None else instance.first_vertex_at_or_right(x) - 1
+        return arrival_envelope(instance, self.j, last, x, self.base, self.lo, self.hi)
+
+    def profile(self, u: int) -> PwlFunction:
+        """P_u, the min-evacuation profile over edge u, built once per cache."""
+        cache, instance = self.cache, self.cache.instance
+        if self.box is None:
+            v, base, lo, hi = self.varying, self.base, self.lo, self.hi
+            return cache.get(
+                ("edge_min_profile_single", v, u, base, lo, hi),
+                lambda: edge_min_profile_single(instance, v, u, base, (lo, hi), cache=cache),
+            )
+        i, j, box = self.i, self.j, self.box
+        return cache.get(
+            ("edge_min_profile", i, j, u, box),
+            lambda: edge_min_profile(instance, i, j, u, box, cache=cache),
+        )
+
+    def least(self, alpha: Fraction) -> Scenario:
+        """The least weights, vertex by vertex, of the term's scenarios with
+        free weight at least alpha."""
+        box = self.box
+        if box is None:
+            return substitute(self.base, self.varying, alpha)
+        a, b = max(box.a1, alpha - box.b2), max(box.b1, alpha - box.a2)
+        return two_varying(self.cache.instance, self.i, self.j, a, b)
+
+    def floors(self) -> list[Fraction]:
+        """The floor of each edge under least(lo), built once per cache."""
+        s_lo = self.least(self.lo)
+        return self.cache.get(
+            ("floors", self.family, self.i, self.j),
+            lambda: [_edge_floor(self.cache, s_lo, u) for u in self.edges],
+        )
+
+    def unit(self, line: PwlFunction, u: int) -> _Term:
+        """The unit over edge u: max_alpha (A(alpha) - P_u(alpha)), where A
+        is `line`, and its argmax."""
+        value, args = pwl.max_difference_all(line, self.profile(u))
+        return _Term(value, self.family, self.i, self.j, u, tuple(args))
 
 
-def _best_term(family: str, i: Optional[int], j: int, line, edges, profile) -> _Term:
-    """max over the edges u of max_alpha (A(alpha) - P_u(alpha)), first u on ties."""
-    best: Optional[_Term] = None
-    for u in edges:
-        value, args = pwl.max_difference_all(line, profile(u))
-        if best is None or value > best.value:
-            best = _Term(value, family, i, j, u, tuple(args))
-    return best
+def _left_term(cache: SolveCache, family: str, i: Optional[int], j: int) -> _LeftTerm:
+    """A left family term, built once per cache."""
+
+    def build() -> _LeftTerm:
+        instance = cache.instance
+        lo, hi = instance.weight_lo, instance.weight_hi
+        if family == FAMILY_LEFT_PAIR_INNER:
+            box = Box(lo[i], hi[i], lo[j], hi[j])
+            base = two_varying(instance, i, j, 0, 0)
+            return _LeftTerm(
+                cache, family, i, j, base, box.alpha_lo, box.alpha_hi, range(i, j), box=box
+            )
+        if family == FAMILY_LEFT_SINGLE:
+            v, base = j, two_varying(instance, j, j, 0, 0)
+        else:
+            v, base = i, two_varying(instance, i, j, 0, hi[j])
+        return _LeftTerm(cache, family, i, j, base, lo[v], hi[v], range(j, instance.n), varying=v)
+
+    return cache.get(("left_term", family, i, j), build)
 
 
 def _eval_left(
     instance: PathInstance, family: str, i: Optional[int], j: int, x: RationalLike, cache
 ) -> _Term:
+    """The term's best unit at sink x, first edge on ties.  A left family
+    needs 0 <= j < n, 0 <= i < j for a pair, and x_j < x <= x_n."""
     x = to_fraction(x)
-    _check_left_family(instance, j, x, i)
-    line, edges, profile, _ = _left_setup(cache_for(instance, cache), family, i, j, x)
-    return _best_term(family, i, j, line, edges, profile)
+    if not (0 <= j < instance.n and (i is None or 0 <= i < j)):
+        raise PathModelError(f"left family indices out of range: {i}, {j}")
+    if not instance.positions[j] < x <= instance.positions[-1]:
+        raise PathModelError(f"left family needs x_{j} < x <= x_n, got x = {x}")
+    term = _left_term(cache_for(instance, cache), family, i, j)
+    line = term.arrival(x)
+    return max((term.unit(line, u) for u in term.edges), key=lambda unit: unit.value)
 
 
 def eval_left_single(
@@ -260,16 +264,7 @@ def left_arrival_envelope(
     x = to_fraction(x)
     if instance.first_vertex_at_or_right(x) <= j:
         raise PathModelError("no vertex between x_j and the sink")
-    return _left_setup(SolveCache(instance), FAMILY_LEFT_PAIR_INNER, i, j, x)[0]
-
-
-def _pair_box(instance: PathInstance, i: int, j: int) -> Box:
-    return Box(
-        instance.weight_lo[i],
-        instance.weight_hi[i],
-        instance.weight_lo[j],
-        instance.weight_hi[j],
-    )
+    return _left_term(SolveCache(instance), FAMILY_LEFT_PAIR_INNER, i, j).arrival(x)
 
 
 def eval_left_pair_inner(
@@ -295,18 +290,17 @@ def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
     unit attaining the side maximum is evaluated, and a term keeps its best
     evaluated unit, first edge on ties, so the maximum and the terms tied
     with it come out exactly as from full evaluation."""
-    instance = cache.instance
-    x = instance.positions[m]
+    x = cache.instance.positions[m]
     keys = [(FAMILY_LEFT_SINGLE, None, j) for j in range(m)]
     for j in range(1, m):
         for i in range(j):
             keys += [(FAMILY_LEFT_PAIR, i, j), (FAMILY_LEFT_PAIR_INNER, i, j)]
-    setups = [_left_setup(cache, *key, x) for key in keys]
+    terms = [_left_term(cache, *key) for key in keys]
+    lines = [term.arrival(x) for term in terms]
     units = []
-    for k, (key, (line, edges, _, least)) in enumerate(zip(keys, setups)):
+    for k, (term, line) in enumerate(zip(terms, lines)):
         top = max(line.values)
-        floors = _floors(cache, key, edges, least(line.lo))
-        units += [(floor - top, k, u) for u, floor in zip(edges, floors)]
+        units += [(floor - top, k, u) for u, floor in zip(term.edges, term.floors())]
     heapify(units)
     best: Optional[Fraction] = None
     kept: dict[int, _Term] = {}
@@ -314,12 +308,10 @@ def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
         negative_bound, k, u = heappop(units)
         if best is not None and -negative_bound < best:
             break
-        line, _, profile, _ = setups[k]
-        value, args = pwl.max_difference_all(line, profile(u))
-        term = kept.get(k)
-        if term is None or value > term.value or (value == term.value and u < term.edge):
-            kept[k] = _Term(value, *keys[k], u, tuple(args))
-        best = value if best is None else max(best, value)
+        unit, held = terms[k].unit(lines[k], u), kept.get(k)
+        if held is None or unit.value > held.value or (unit.value == held.value and u < held.edge):
+            kept[k] = unit
+        best = unit.value if best is None else max(best, unit.value)
     return [kept[k] for k in sorted(kept)]
 
 
@@ -338,19 +330,15 @@ def _mirror_term(instance: PathInstance, term: _Term) -> _Term:
 # Witness reconstruction ---------------------------------------------------------
 
 
-def _candidate_splits(
-    cache: SolveCache, i: int, j: int, u: int, alpha: Fraction, box: Box
-) -> list[Fraction]:
-    """Candidate first coordinates for the pair split alpha = a1 + a2: slice
-    endpoints, envelope breakpoints projected to the slice, and piecewise
-    crossings of the two side envelopes along the slice."""
+def _candidate_splits(term: _LeftTerm, u: int, alpha: Fraction) -> list[Fraction]:
+    """Candidate first coordinates for the both-free pair split
+    alpha = a1 + a2: slice endpoints, envelope breakpoints projected to the
+    slice, and piecewise crossings of the two side envelopes along the slice."""
+    box, base = term.box, term.base
     lo = max(box.a1, alpha - box.b2)
     hi = min(box.a2, alpha - box.b1)
-    if lo > hi:
-        return []
-    base = two_varying(cache.instance, i, j, 0, 0)
-    fl = cached_envelope(cache, "left", i, u + 1, base, box.a1, box.a2)
-    fr = cached_envelope(cache, "right", j, u, base, box.b1, box.b2)
+    fl = cached_envelope(term.cache, "left", term.i, u + 1, base, box.a1, box.a2)
+    fr = cached_envelope(term.cache, "right", term.j, u, base, box.b1, box.b2)
     cuts = {lo, hi}
     for q in fl.breakpoints:
         if lo <= q <= hi:
@@ -373,17 +361,15 @@ def _witness_scenarios(
 ) -> list[tuple[Scenario, Fraction, Optional[Fraction]]]:
     """Scenario candidates realizing a term's argmax over the cache's
     instance, best split first."""
+    left = _left_term(cache, term.family, term.i, term.j)
+    if left.box is None:
+        beta = None if left.varying == left.j else left.base.weights[left.j]
+        return [(left.least(alpha), alpha, beta) for alpha in term.alphas]
     instance = cache.instance
-    if term.family != FAMILY_LEFT_PAIR_INNER:
-        least = _left_term(cache, term.family, term.i, term.j)[-1]
-        beta = None if term.family == FAMILY_LEFT_SINGLE else instance.weight_hi[term.j]
-        return [(least(alpha), alpha, beta) for alpha in term.alphas]
     out: list[tuple[Scenario, Fraction, Optional[Fraction]]] = []
-    box = _pair_box(instance, term.i, term.j)
     for alpha in term.alphas:
-        splits = _candidate_splits(cache, term.i, term.j, term.edge, alpha, box)
         scored = []
-        for a1 in splits:
+        for a1 in _candidate_splits(left, term.edge, alpha):
             s = two_varying(instance, term.i, term.j, a1, alpha - a1)
             scored.append((theta_min_on_edge(instance, term.edge, s)[1], a1, s))
         scored.sort(key=lambda t: (t[0], t[1]))
@@ -420,13 +406,10 @@ class RegretSolver:
         mirrored = _left_terms(self._reflected_cache, self.instance.n - m)
         g_value = max((t.value for t in left), default=None)
         h_value = max((t.value for t in mirrored), default=None)
-        if g_value is None and h_value is None:
-            report = VertexRegret(Fraction(0), None, None, None)
-            self._vertex_cache[m] = report
-            return report
         g_candidates = tuple(t for t in left if t.value == g_value)
         h_candidates = tuple(t for t in mirrored if t.value == h_value)
-        best_value = max(v for v in (g_value, h_value) if v is not None)
+        # no term on either side only when n = 0: regret 0, no witness
+        best_value = max((v for v in (g_value, h_value) if v is not None), default=Fraction(0))
         ranked: list[tuple[_Term, bool]] = []
         if g_value == best_value:
             ranked += [(t, False) for t in g_candidates]

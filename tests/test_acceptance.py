@@ -14,7 +14,7 @@ Criteria and their pinned tolerances:
      vertex-line inequalities, envelope/inverse/merge exactness, witness
      replay.
   6. Size bounds on all profile outputs plus a full n = 40 solve under
-     5 minutes.
+     5 minutes, with its pinned answer and a witness that replays exactly.
 """
 from __future__ import annotations
 
@@ -262,9 +262,18 @@ def test_criterion_6_size_bounds_and_desk_scale():
         inst = random_instance(rng, max_n=40)
     opt = min_max_regret(inst)
     elapsed = time.time() - start
-    ok = elapsed < 300 and opt.value >= 0
+    w = opt.witness
+    replay = theta(inst, opt.location.value, w.scenario).theta - optimal_sink(inst, w.scenario).value
+    ok = (
+        elapsed < 300
+        and (opt.value, opt.location.value) == (Fraction(83, 8), Fraction(187, 8))
+        and (w.family, w.i, w.j, w.edge) == ("right_pair", 40, 24, 21)
+        and w.alpha == w.beta == Fraction(11, 16)
+        and replay == opt.value
+    )
     report(
-        "criterion 6: size bounds hold; n=40 solve under 5 minutes",
+        "criterion 6: size bounds hold; n=40 solve under 5 minutes, its witness replays",
         ok,
-        f"R_OPT={opt.value}, {elapsed:.1f}s",
+        f"R_OPT={opt.value} at {opt.location.value}, {w.family} i={w.i} j={w.j} edge={w.edge}"
+        f" alpha={w.alpha} beta={w.beta}, replay {replay}, {elapsed:.1f}s",
     )

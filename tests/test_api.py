@@ -40,7 +40,6 @@ PWL_API = {
     "PwlFunction",
     "from_points",
     "constant",
-    "from_line",
     "canonical",
     "evaluate",
     "restrict",

@@ -4,8 +4,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from evacregret import PathInstance, Scenario, pwl, theta
-from evacregret.envelopes import left_envelope_raw, right_envelope_raw
+import pytest
+
+from evacregret import PathInstance, PathModelError, Scenario, pwl, theta
+from evacregret.envelopes import arrival_envelope, left_envelope_raw, right_envelope_raw
 from evacregret.evacuation import _left_time_at_vertex, _right_time_at_vertex
 from evacregret.path_model import prefix_weight, reflect_instance, substitute, two_varying
 
@@ -58,6 +60,15 @@ def test_rue_varying_left_constant(t1):
 def test_rue_all_zero_single_line(t1):
     env = right_envelope_raw(t1, 2, 1, Scenario([0, 0, 0]), 0, 2)
     assert env.values == (1, 2)  # 1 + alpha/2
+
+
+def test_arrival_envelope_refuses_bad_arguments(t1):
+    """Anything but 0 <= first <= last < n and x_last < x is refused: a sink
+    at x_last, a last vertex at x_n, and first > last."""
+    s = Scenario([1, 1, 1])
+    for first, last, x, lo, hi in ((1, 1, 1, 0, 0), (0, 2, 2, 0, 0), (2, 1, 2, 0, 2)):
+        with pytest.raises(PathModelError):
+            arrival_envelope(t1, first, last, Fraction(x), s, Fraction(lo), Fraction(hi))
 
 
 def test_theta_of_alpha_example(t1):

@@ -23,6 +23,7 @@ from evacregret import (
     theta,
 )
 from evacregret import worst_case
+from evacregret.envelopes import SolveCache, left_envelope_raw, right_envelope_raw
 from evacregret.oracle import GridConfig, GridOracle
 from evacregret.path_model import reflect_instance, two_varying
 from evacregret.worst_case import (
@@ -110,6 +111,20 @@ def test_left_pair_inner_fixture(t1):
 def test_arrival_envelope_single_line(t1):
     env = left_arrival_envelope(t1, 0, 1, 2)
     assert env.values == (1, 3)  # 1 + alpha/2 on [0, 4]
+
+
+def test_candidate_splits_include_the_envelope_crossing():
+    """On one edge with both weights in [0, 2], the left envelope 1 + a1 and
+    the right one 1 + a2 cross inside the slice a1 + a2 = 1/2, at a1 = 1/4,
+    between the slice ends 0 and 1/2."""
+    inst = PathInstance([0, 1], [1], [0, 0], [2, 2])
+    term = worst_case._left_term(SolveCache(inst), worst_case.FAMILY_LEFT_PAIR_INNER, 0, 1)
+    alpha, cross = Fraction(1, 2), Fraction(1, 4)
+    assert worst_case._candidate_splits(term, 0, alpha) == [0, cross, alpha]
+    base = two_varying(inst, 0, 1, 0, 0)
+    fl = left_envelope_raw(inst, 0, 1, base, 0, 2)
+    fr = right_envelope_raw(inst, 1, 0, base, 0, 2)
+    assert fl(cross) == fr(alpha - cross)
 
 
 def test_pinned_families_read_the_true_time():
