@@ -121,7 +121,9 @@ def theta_min_on_edge(
 
 def _edge_min_from_times(instance: PathInstance, k: int, times) -> tuple[Fraction, Fraction]:
     """theta_min_on_edge's (value, position) from the one-sided times
-    (left, right) at x_k and then at x_{k+1}."""
+    (left, right) at x_k and then at x_{k+1}.  The times may be negative (the
+    regret side maxima of RegretSolver.min_max_regret); the position always
+    lies in [x_k, x_{k+1}]."""
     tl_k, tr_k, tl_k1, tr_k1 = times
     xk, xk1 = instance.positions[k], instance.positions[k + 1]
     # interior: max(tl_k1 - (xk1 - y), tr_k - (y - xk)), floored at 0
@@ -130,7 +132,7 @@ def _edge_min_from_times(instance: PathInstance, k: int, times) -> tuple[Fractio
     interior = max(tl_k1 - (xk1 - y_star), tr_k - (y_star - xk), ZERO)
     if interior == 0:
         # zero is attained on a segment; report its leftmost point
-        y_star = xk + tr_k
+        y_star = xk + max(tr_k, ZERO)
     # least value first, then leftmost position
     return min((max(tl_k, tr_k), xk), (max(tl_k1, tr_k1), xk1), (interior, y_star))
 

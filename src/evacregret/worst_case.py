@@ -22,6 +22,12 @@ is at least the least time over edge u under least(lo), and max(A) minus that
 time bounds the unit.  A unit whose bound is strictly below a value already
 found can be neither the side's maximum nor tied with it.  The times under
 least(lo) do not depend on the sink and are memoized per solve.
+
+The max regret at a sink is max(g, h, 0), where g is the left families' max
+and h the right families'.  Inside an edge each family's arrival time moves
+at slope 1 and its optimum not at all, so g and h there are the end vertices'
+less the distance, and min_max_regret is optimal_sink's search on (g, h).  A
+witness is built by replay once, for the reported point only.
 """
 from __future__ import annotations
 
@@ -106,18 +112,20 @@ class _Term:
 
 @dataclass(frozen=True)
 class VertexRegret:
-    """Aggregated max regret at a vertex with the per-side maxima.
+    """The side maxima at a vertex, g over the left families and h over the
+    right, each None when its side has no term, and the terms attaining each
+    (mirror-side terms in reflected coordinates) for max_regret's witness."""
 
-    Candidate terms achieving each side's max are kept (mirror-side terms in
-    reflected coordinates) so interior points along an incident edge can
-    replay-verify a witness of the side that dominates there."""
-
-    value: Fraction
     g_value: Optional[Fraction]
     h_value: Optional[Fraction]
-    witness: Optional[Witness]
-    g_candidates: tuple[_Term, ...] = ()
-    h_candidates: tuple[_Term, ...] = ()
+    g_candidates: tuple[_Term, ...]
+    h_candidates: tuple[_Term, ...]
+
+    @property
+    def value(self) -> Fraction:
+        """The max regret at the vertex: the larger side, 0 when n = 0."""
+        sides = (self.g_value, self.h_value)
+        return max((v for v in sides if v is not None), default=Fraction(0))
 
 
 # Left-side family evaluators ----------------------------------------------------
@@ -218,16 +226,22 @@ def _left_term(cache: SolveCache, family: str, i: Optional[int], j: int) -> _Lef
     return cache.get(("left_term", family, i, j), build)
 
 
-def _eval_left(
-    instance: PathInstance, family: str, i: Optional[int], j: int, x: RationalLike, cache
-) -> _Term:
-    """The term's best unit at sink x, first edge on ties.  A left family
-    needs 0 <= j < n, 0 <= i < j for a pair, and x_j < x <= x_n."""
+def _left_sink(instance: PathInstance, i: Optional[int], j: int, x: RationalLike) -> Fraction:
+    """x, once a left family is defined at indices (i, j) and sink x:
+    0 <= j < n, 0 <= i < j for a pair, and x_j < x <= x_n."""
     x = to_fraction(x)
     if not (0 <= j < instance.n and (i is None or 0 <= i < j)):
         raise PathModelError(f"left family indices out of range: {i}, {j}")
     if not instance.positions[j] < x <= instance.positions[-1]:
-        raise PathModelError(f"left family needs x_{j} < x <= x_n, got x = {x}")
+        raise PathModelError(f"left family sink out of range: needs x_{j} < x <= x_n, got {x}")
+    return x
+
+
+def _eval_left(
+    instance: PathInstance, family: str, i: Optional[int], j: int, x: RationalLike, cache
+) -> _Term:
+    """The term's best unit at sink x, first edge on ties (see _left_sink)."""
+    x = _left_sink(instance, i, j, x)
     term = _left_term(cache_for(instance, cache), family, i, j)
     line = term.arrival(x)
     return max((term.unit(line, u) for u in term.edges), key=lambda unit: unit.value)
@@ -260,10 +274,9 @@ def left_arrival_envelope(
 ) -> PwlFunction:
     """Upper envelope, in the pair's total free weight, of the arrival-time
     lines of every vertex between x_j and the sink (the true maximum when
-    both weights are pinned)."""
-    x = to_fraction(x)
-    if instance.first_vertex_at_or_right(x) <= j:
-        raise PathModelError("no vertex between x_j and the sink")
+    both weights are pinned).  The indices and sink are those of
+    eval_left_pair_inner (see _left_sink)."""
+    x = _left_sink(instance, i, j, x)
     return _left_term(SolveCache(instance), FAMILY_LEFT_PAIR_INNER, i, j).arrival(x)
 
 
@@ -397,30 +410,18 @@ class RegretSolver:
         self._reflected_cache = SolveCache(self.reflected)
         self._vertex_cache: dict[int, VertexRegret] = {}
 
-    # -- per-vertex aggregation
+    # -- per-vertex side maxima
 
     def vertex_regret(self, m: int) -> VertexRegret:
-        if m in self._vertex_cache:
-            return self._vertex_cache[m]
-        left = _left_terms(self._cache, m)
-        mirrored = _left_terms(self._reflected_cache, self.instance.n - m)
-        g_value = max((t.value for t in left), default=None)
-        h_value = max((t.value for t in mirrored), default=None)
-        g_candidates = tuple(t for t in left if t.value == g_value)
-        h_candidates = tuple(t for t in mirrored if t.value == h_value)
-        # no term on either side only when n = 0: regret 0, no witness
-        best_value = max((v for v in (g_value, h_value) if v is not None), default=Fraction(0))
-        ranked: list[tuple[_Term, bool]] = []
-        if g_value == best_value:
-            ranked += [(t, False) for t in g_candidates]
-        if h_value == best_value:
-            ranked += [(t, True) for t in h_candidates]
-        witness = self._replay_pick(self.instance.positions[m], best_value, ranked)
-        report = VertexRegret(
-            best_value, g_value, h_value, witness, g_candidates, h_candidates
-        )
-        self._vertex_cache[m] = report
-        return report
+        if m not in self._vertex_cache:
+            left = _left_terms(self._cache, m)
+            mirrored = _left_terms(self._reflected_cache, self.instance.n - m)
+            g = max((t.value for t in left), default=None)
+            h = max((t.value for t in mirrored), default=None)
+            g_terms = tuple(t for t in left if t.value == g)
+            h_terms = tuple(t for t in mirrored if t.value == h)
+            self._vertex_cache[m] = VertexRegret(g, h, g_terms, h_terms)
+        return self._vertex_cache[m]
 
     def _replay_pick(
         self,
@@ -452,71 +453,31 @@ class RegretSolver:
     # -- arbitrary points
 
     def max_regret(self, x: Union[Point, RationalLike]) -> RegretReport:
+        """max(g, h, 0) over the side maxima at x, with a witness among the
+        terms attaining it.  At a vertex the sides are its own; strictly
+        inside edge k they are x_{k+1}'s g and x_k's h, each less the
+        distance to x (see the module docstring)."""
         point = as_point(self.instance, x)
-        if point.vertex_index is not None:
-            report = self.vertex_regret(point.vertex_index)
-            return RegretReport(report.value, point, report.witness)
-        k = self.instance.locate(point.value)[1]
-        g, h, value = self._interior_values(k, point.value)
-        witness = self._interior_witness(k, point.value, g, h, value)
-        return RegretReport(value, point, witness)
-
-    def _interior_values(
-        self, k: int, x: Fraction
-    ) -> tuple[Optional[Fraction], Optional[Fraction], Fraction]:
-        """Left/right family maxima strictly inside edge k, via the vertex
-        values shifted by the travel offset, and the max regret there, which
-        is never negative (the shifted values can be, when every weight is 0)."""
-        right_vertex = self.vertex_regret(k + 1)
-        left_vertex = self.vertex_regret(k)
-        g = None
-        if right_vertex.g_value is not None:
-            g = right_vertex.g_value - (self.instance.positions[k + 1] - x)
-        h = None
-        if left_vertex.h_value is not None:
-            h = left_vertex.h_value - (x - self.instance.positions[k])
+        x, positions = point.value, self.instance.positions
+        left = right = point.vertex_index
+        if left is None:
+            left = self.instance.locate(x)[1]
+            right = left + 1
+        g_side, h_side = self.vertex_regret(right), self.vertex_regret(left)
+        g = None if g_side.g_value is None else g_side.g_value - (positions[right] - x)
+        h = None if h_side.h_value is None else h_side.h_value - (x - positions[left])
         value = max(v for v in (g, h, Fraction(0)) if v is not None)
-        return g, h, value
-
-    def _interior_witness(
-        self,
-        k: int,
-        x: Fraction,
-        g: Optional[Fraction],
-        h: Optional[Fraction],
-        value: Fraction,
-    ) -> Optional[Witness]:
-        candidates: list[tuple[_Term, bool]] = []
-        if g is not None and g == value:
-            candidates += [(t, False) for t in self.vertex_regret(k + 1).g_candidates]
-        if h is not None and h == value:
-            candidates += [(t, True) for t in self.vertex_regret(k).h_candidates]
-        return self._replay_pick(x, value, candidates)
+        candidates = [(t, False) for t in g_side.g_candidates if g == value]
+        candidates += [(t, True) for t in h_side.h_candidates if h == value]
+        return RegretReport(value, point, self._replay_pick(x, value, candidates))
 
     # -- the outer search
 
-    def _edge_minimum(self, u: int) -> tuple[Fraction, Fraction]:
-        """(min of the max-regret over edge u, leftmost minimizing point)."""
-        inst = self.instance
-        xl, xr = inst.positions[u], inst.positions[u + 1]
-        left_rep, right_rep = self.vertex_regret(u), self.vertex_regret(u + 1)
-        g1, h0 = right_rep.g_value, left_rep.h_value
-        # the interior max(g rising, h falling) is least at their clamped
-        # crossing; both are set, as x_{u+1} has a left term and x_u a right one
-        y = min(max((xl + xr + h0 - g1) / 2, xl), xr)
-        candidates = [
-            (left_rep.value, xl),
-            (right_rep.value, xr),
-            (self._interior_values(u, y)[2], y),
-        ]
-        return min(candidates, key=lambda c: (c[0], c[1]))
-
     def min_max_regret(self) -> RegretReport:
-        """Minmax regret over the whole path, leftmost minimizer.
-
-        Bisection on the per-vertex side maxima g and h (_first_crossing)
-        finds the vertex j at which g first reaches h, and the minimum is
-        _edge_minimum(j - 1); j = 0 only when n = 0, where x_0 is the path."""
+        """Minmax regret over the whole path, leftmost minimizer: the vertex
+        j at which g first reaches h (_first_crossing), then the closed-form
+        minimum over edge j - 1 (_edge_min_from_times) from the sides already
+        probed, a missing side read as 0.  j = 0 only when n = 0."""
         inst = self.instance
         if all(hi == 0 for hi in inst.weight_hi):
             return RegretReport(Fraction(0), Point(inst.positions[0], 0), None)
@@ -526,8 +487,10 @@ class RegretSolver:
             return report.g_value, report.h_value
 
         j = _first_crossing(sides, inst.n)
-        x = inst.positions[0] if j == 0 else self._edge_minimum(j - 1)[1]
-        return self.max_regret(x)
+        if j == 0:
+            return self.max_regret(inst.positions[0])
+        times = [Fraction(0) if v is None else v for v in sides(j - 1) + sides(j)]
+        return self.max_regret(_edge_min_from_times(inst, j - 1, times)[1])
 
 
 def max_regret(instance: PathInstance, x: Union[Point, RationalLike]) -> RegretReport:

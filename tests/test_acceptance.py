@@ -224,7 +224,8 @@ def test_criterion_5_structural_invariants(t1):
                 assert reports[u + 1].h_value <= reports[u].h_value - d
         # witness replay, exact
         for m in range(inst.vertex_count):
-            rep = reports[m]
+            rep = solver.max_regret(inst.positions[m])
+            assert rep.value == reports[m].value
             assert rep.witness is not None
             assert regret(inst, inst.positions[m], rep.witness.scenario) == rep.value
 

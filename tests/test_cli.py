@@ -156,11 +156,22 @@ def test_dump_pwl(t1_file, capsys):
 
 
 def test_dump_pwl_refuses_out_of_range_envelope_indices(t1_file, capsys):
-    for name in ("lue:-1:2", "lue:-3:1", "lue:0:-1", "rue:-1:0", "lue:1:5"):
+    refused = [
+        (name, "envelope indices out of range")
+        for name in ("lue:-1:2", "lue:-3:1", "lue:0:-1", "rue:-1:0", "lue:1:5")
+    ]
+    # F:i:j:x is refused exactly where eval_left_pair_inner is: i == j, and
+    # a sink right of x_n or at x_j
+    refused += [
+        ("F:1:1:2", "left family indices out of range"),
+        ("F:0:1:3", "left family sink out of range"),
+        ("F:0:1:1", "left family sink out of range"),
+    ]
+    for name, message in refused:
         assert run(["dump-pwl", "--instance", t1_file, "--name", name]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "envelope indices out of range" in captured.err
+        assert message in captured.err
 
 
 def test_missing_file_is_validation_error(capsys):

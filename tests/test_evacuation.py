@@ -4,9 +4,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from evacregret import Scenario, optimal_sink, regret, theta
+from evacregret import PathInstance, RegretSolver, Scenario, optimal_sink, regret, theta
 from evacregret.envelopes import arrival_envelope
-from evacregret.evacuation import theta_min_on_edge
+from evacregret.evacuation import _edge_min_from_times, theta_min_on_edge
 from evacregret.path_model import reflect_instance, reflect_scenario
 
 from conftest import dense_theta_min, random_instance, random_scenario, rational
@@ -67,6 +67,27 @@ def test_theta_min_on_edge_dense_oracle():
         # closed form is exact at its reported point
         pt, v2 = theta_min_on_edge(inst, k, s)
         assert theta(inst, pt, s).theta == v2
+
+
+def test_edge_min_from_negative_sides_stays_on_the_edge():
+    """Regret side maxima can be negative, unlike one-sided times: here the
+    right side at x_1 is -7/16, and the edge's zero minimum is at x_1, not
+    left of the edge at x_1 + (-7/16)."""
+    inst = PathInstance(
+        [0, Fraction(25, 16), Fraction(57, 16)],
+        [Fraction(1, 2), Fraction(9, 4)],
+        [Fraction(11, 16), Fraction(29, 32), Fraction(9, 8)],
+        [Fraction(9, 8)] * 3,
+    )
+    assert RegretSolver(inst).vertex_regret(1).h_value == Fraction(-7, 16)
+    sides = (0, Fraction(-7, 16), 2, 0)
+    assert _edge_min_from_times(inst, 1, sides) == (0, Fraction(25, 16))
+    rng = random.Random(47)
+    for _ in range(200):
+        k = rng.randrange(2)
+        sides = [rational(rng, -3, 3) for _ in range(4)]
+        _, y = _edge_min_from_times(inst, k, sides)
+        assert inst.positions[k] <= y <= inst.positions[k + 1]
 
 
 def test_optimal_sink_examples(t1):

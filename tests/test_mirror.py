@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evacregret import PathInstance, RegretSolver, Scenario, regret
-from evacregret.evacuation import _first_crossing, theta_min_on_edge
+from evacregret.evacuation import _edge_min_from_times, _first_crossing, theta_min_on_edge
 from evacregret.oracle import GridConfig, GridOracle
 from evacregret.path_model import reflect_instance, substitute
 from evacregret.profiles import edge_min_profile_single
@@ -167,6 +167,12 @@ def test_min_max_regret_is_leftmost_minimum_over_vertices_and_edges(inst):
     assert reaches == sorted(reaches)
     assert _first_crossing(sides.__getitem__, inst.n) == reaches.index(True)
     candidates = [(solver.max_regret(x).value, x) for x in inst.positions]
-    candidates += [solver._edge_minimum(u) for u in range(inst.n)]
+    zero = Fraction(0)
+    for u in range(inst.n):
+        times = [zero if v is None else v for v in sides[u] + sides[u + 1]]
+        value, y = _edge_min_from_times(inst, u, times)
+        assert inst.positions[u] <= y <= inst.positions[u + 1]
+        assert solver.max_regret(y).value == value
+        candidates.append((value, y))
     best = solver.min_max_regret()
     assert (best.value, best.location.value) == min(candidates)
