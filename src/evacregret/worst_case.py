@@ -15,13 +15,17 @@ subtrahend edge u; the unpruned public evaluators take the best of a term's
 units.  A unit's value is max_alpha (A(alpha) - P_u(alpha)), where A is the
 arrival line or envelope and P_u(alpha) is a min-evacuation time over edge u
 and the family's scenarios with free weight alpha (its envelopes can only
-overstate the true time).  Each of those scenarios lies, weight by weight, at
-or above least(lo), the least weights of the family's scenarios over its whole
-free weight range, and adding weight never speeds an evacuation, so P_u(alpha)
-is at least the least time over edge u under least(lo), and max(A) minus that
-time bounds the unit.  A unit whose bound is strictly below a value already
-found can be neither the side's maximum nor tied with it.  The times under
-least(lo) do not depend on the sink and are memoized per solve.
+overstate the true time).  Write least(p) for the least weights, vertex by
+vertex, of the family's scenarios with free weight at least p.  Adding weight
+never speeds an evacuation, so on a part [p, q] of the free range P_u is at
+least the floor under least(p), the least time over edge u, and A, which is
+nondecreasing, is at most A(q).  A unit's bound is refined in stages: max(A)
+less the floor under the all-lower scenario, at or below every least(lo)
+(coarse), then under least(lo) (own), then for a free both-free pair A(q) less
+the floor under least(p) on each equal part of [lo, hi] (part).  As coarse >=
+own >= part >= value, a unit whose bound is strictly below a value already
+found can be neither the side's maximum nor tied with it.  The floors do not
+depend on the sink and are memoized per solve.
 
 The max regret at a sink is max(g, h, 0), where g is the left families' max
 and h the right families'.  Inside an edge each family's arrival time moves
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop
+from heapq import heapify, heappop, heappush
 from typing import Optional, Union
 
 from . import pwl
@@ -68,6 +72,7 @@ FAMILY_LEFT_PAIR_INNER = "left_pair_inner"
 FAMILY_RIGHT_SINGLE = "right_single"
 FAMILY_RIGHT_PAIR = "right_pair"
 FAMILY_RIGHT_PAIR_INNER = "right_pair_inner"
+_PARTS = 4  # equal parts of a free both-free pair's range, each bounded alone
 
 _MIRROR = {
     FAMILY_LEFT_SINGLE: FAMILY_RIGHT_SINGLE,
@@ -190,13 +195,11 @@ class _LeftTerm:
         a, b = max(box.a1, alpha - box.b2), max(box.b1, alpha - box.a2)
         return two_varying(self.cache.instance, self.i, self.j, a, b)
 
-    def floors(self) -> list[Fraction]:
-        """The floor of each edge under least(lo), built once per cache."""
-        s_lo = self.least(self.lo)
-        return self.cache.get(
-            ("floors", self.family, self.i, self.j),
-            lambda: [_edge_floor(self.cache, s_lo, u) for u in self.edges],
-        )
+    def floor(self, u: int, alpha: Fraction) -> Fraction:
+        """The least time over edge u under least(alpha), which is built once
+        per cache."""
+        key = ("least", self.family, self.i, self.j, alpha)
+        return _edge_floor(self.cache, self.cache.get(key, lambda: self.least(alpha)), u)
 
     def unit(self, line: PwlFunction, u: int) -> _Term:
         """The unit over edge u: max_alpha (A(alpha) - P_u(alpha)), where A
@@ -297,34 +300,46 @@ def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
     """The left-side family terms at vertex x_m of the cache's instance that
     can reach the side's maximum, in family order; every other term is pruned.
 
-    Units are popped from a heap by descending bound (see the module
-    docstring), taken over the whole free weight range, then by term and
-    edge, until a bound falls strictly below the best value found.  Every
+    Units are popped from a heap by descending bound, then by term and edge,
+    until a bound falls strictly below the best value found.  A unit popped
+    before its last stage (see the module docstring) is pushed back with the
+    next stage's bound, and at its last stage it is evaluated, once.  So every
     unit attaining the side maximum is evaluated, and a term keeps its best
-    evaluated unit, first edge on ties, so the maximum and the terms tied
-    with it come out exactly as from full evaluation."""
-    x = cache.instance.positions[m]
+    evaluated unit, first edge on ties: the maximum and its ties are exact."""
+    instance, x = cache.instance, cache.instance.positions[m]
     keys = [(FAMILY_LEFT_SINGLE, None, j) for j in range(m)]
     for j in range(1, m):
         for i in range(j):
             keys += [(FAMILY_LEFT_PAIR, i, j), (FAMILY_LEFT_PAIR_INNER, i, j)]
     terms = [_left_term(cache, *key) for key in keys]
     lines = [term.arrival(x) for term in terms]
-    units = []
-    for k, (term, line) in enumerate(zip(terms, lines)):
-        top = max(line.values)
-        units += [(floor - top, k, u) for u, floor in zip(term.edges, term.floors())]
+    low = instance.lower_scenario()
+    coarse = cache.get(("coarse",), lambda: [_edge_floor(cache, low, u) for u in range(instance.n)])
+    units = [(coarse[u] - max(line.values), k, u, 0)
+             for k, line in enumerate(lines) for u in terms[k].edges]
     heapify(units)
     best: Optional[Fraction] = None
     kept: dict[int, _Term] = {}
+    done: set[tuple[int, int]] = set()
     while units:
-        negative_bound, k, u = heappop(units)
+        negative_bound, k, u, stage = heappop(units)
         if best is not None and -negative_bound < best:
             break
-        unit, held = terms[k].unit(lines[k], u), kept.get(k)
-        if held is None or unit.value > held.value or (unit.value == held.value and u < held.edge):
-            kept[k] = unit
-        best = unit.value if best is None else max(best, unit.value)
+        if (k, u) in done:
+            continue
+        term, line = terms[k], lines[k]
+        if stage == 0:
+            heappush(units, (term.floor(u, term.lo) - max(line.values), k, u, 1))
+        elif stage == 1 and term.box is not None and term.lo < term.hi:
+            cuts = [term.lo + (term.hi - term.lo) * Fraction(t, _PARTS) for t in range(_PARTS + 1)]
+            for p, q in zip(cuts, cuts[1:]):
+                heappush(units, (term.floor(u, p) - line(q), k, u, 2))
+        else:
+            done.add((k, u))
+            unit, held = term.unit(line, u), kept.get(k)
+            if held is None or (unit.value, -u) > (held.value, -held.edge):
+                kept[k] = unit
+            best = unit.value if best is None else max(best, unit.value)
     return [kept[k] for k in sorted(kept)]
 
 

@@ -1,16 +1,18 @@
 """The branch-and-bound over the family terms is exact.
 
 `RegretSolver.vertex_regret` evaluates only the units (a term and one
-subtrahend edge u) whose bound can reach the side's maximum: the max of A
-minus the least time over edge u under least(lo), the least weights of the
-term's scenarios.  These tests compare it with a full evaluation of every
-term through the public evaluators; check, on every unit and every part
-[p, q] of the free weight range, the finer bound: the max of A there minus
-the least time over edge u under least(p), the least weights of the term's
-scenarios with free weight at least p (the solver uses only the part
-[lo, hi]; the per-part test stays as a stronger property than the solver
-needs); check the coarser max(A) - OPT(s_lo) on every term; and check that a
-solve really prunes."""
+subtrahend edge u) whose bound can reach the side's maximum.  It refines a
+unit's bound in stages: max(A) minus the least time over edge u under the
+all-lower scenario (the coarse floor), then minus the least time under
+least(lo), the least weights of the term's scenarios (its own floor), then,
+for a free both-free pair, on each quarter [p, q] of the free weight range,
+A(q) minus the least time under least(p).  These tests compare the solver
+with a full evaluation of every term through the public evaluators; check
+that the coarse floor is at most every term's own floor; check, on every unit
+and every eighth [p, q] of its free weight range (which covers the quarters),
+the max of A there minus the least time over edge u under least(p); check the
+coarser max(A) - OPT(s_lo) on every term; and check that a solve really
+prunes, with no more work than a recorded count."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -137,9 +139,51 @@ def test_unit_bound_holds_on_every_part(inst):
     check_unit_bounds(reflect_instance(inst))
 
 
+def own_floor_scenarios(inst: PathInstance):
+    """(family, i, j, least(lo), edges) for every left family term of inst,
+    built here from the family definitions."""
+    lo, hi = inst.weight_lo, inst.weight_hi
+    for j in range(inst.n):
+        s_lo = substitute(two_varying(inst, j, j, 0, 0), j, lo[j])
+        yield worst_case.FAMILY_LEFT_SINGLE, None, j, s_lo, range(j, inst.n)
+    for j in range(1, inst.n):
+        for i in range(j):
+            s_lo = two_varying(inst, i, j, lo[i], hi[j])
+            yield worst_case.FAMILY_LEFT_PAIR, i, j, s_lo, range(j, inst.n)
+            s_lo = two_varying(inst, i, j, lo[i], lo[j])
+            yield worst_case.FAMILY_LEFT_PAIR_INNER, i, j, s_lo, range(i, j)
+
+
+def check_coarse_floors(inst: PathInstance) -> None:
+    """The solver's own floor of each term on each of its edges is the least
+    time over the edge under least(lo), and the coarse floor under the
+    all-lower scenario is at most it."""
+    cache = SolveCache(inst)
+    lower = inst.lower_scenario()
+    for family, i, j, s_lo, edges in own_floor_scenarios(inst):
+        term = worst_case._left_term(cache, family, i, j)
+        assert term.edges == edges
+        for u in edges:
+            own = term.floor(u, term.lo)
+            assert own == theta_min_on_edge(inst, u, s_lo)[1]
+            assert worst_case._edge_floor(cache, lower, u) <= own
+
+
+@DERANDOMIZED
+@given(instances())
+def test_coarse_floor_is_at_most_every_own_floor(inst):
+    """The first stage's bound is at or above the second's on every unit, on
+    the instance and on its mirror."""
+    check_coarse_floors(inst)
+    check_coarse_floors(reflect_instance(inst))
+
+
 def test_solve_prunes_profile_builds(monkeypatch):
     """A solve builds strictly fewer edge profiles than a full evaluation of
-    every term requests at the vertices the solve evaluates."""
+    every term requests at the vertices the solve evaluates, and no more
+    edge profiles or floor vertex times than recorded with lazily refined
+    bounds (10 and 24; computing every term's own floors up front made 10
+    and 125), so a looser bound fails here."""
     inst = PathInstance(
         [0, 1, 3, 4, 6, 7, 9, 10, 12],
         [2, 1, 3, 1, 2, 3, 1, 2],
@@ -155,11 +199,20 @@ def test_solve_prunes_profile_builds(monkeypatch):
             return _original(instance, *args, **kwargs)
 
         monkeypatch.setattr(worst_case, name, counted)
+    vertex_times: list = []
+    original_times = worst_case._vertex_times
+
+    def counted_times(*args):
+        vertex_times.append(args)
+        return original_times(*args)
+
+    monkeypatch.setattr(worst_case, "_vertex_times", counted_times)
     solver = RegretSolver(inst)
     solver.min_max_regret()
     pruned = len(built)
     vertices = sorted(solver._vertex_cache)
     assert len(vertices) > 2
+    assert pruned <= 10 and len(vertex_times) <= 24, (pruned, len(vertex_times))
 
     built.clear()
     reflected = reflect_instance(inst)
