@@ -247,7 +247,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             return 0
         if args.command == "oracle":
             return _run_oracle(args, instance)
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError, IndexError, oracle.OracleTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

@@ -26,6 +26,13 @@ from .path_model import (
 )
 
 
+# Largest step counts accepted, so a fine dt or grid spacing is refused before
+# any work instead of running for an unbounded time: simulation steps up to
+# the drain bound x_n + W/c_min, and grid points per weight axis.
+MAX_SIM_STEPS = 10**7
+MAX_GRID_STEPS = 1024
+
+
 class OracleTimeout(RuntimeError):
     """The simulation exceeded its configured time cap."""
 
@@ -129,8 +136,13 @@ def simulate_evacuation(
     a step boundary.
     """
     point = as_point(instance, x)
-    if prefix_weight(s, 0, instance.n) == 0:
+    total = prefix_weight(s, 0, instance.n)
+    if total == 0:
         return Fraction(0)
+    if instance.n:
+        drain = instance.positions[-1] + total / min(instance.capacities)
+        if drain > MAX_SIM_STEPS * cfg.dt:
+            raise PathModelError(f"dt {cfg.dt} needs more than {MAX_SIM_STEPS} steps to drain")
     max_steps = int(cfg.max_time / cfg.dt) + 1
     pos = instance.positions
     kind, idx = instance.locate(point.value)
@@ -192,6 +204,14 @@ class GridOracle:
     sinks stay cheap."""
 
     def __init__(self, instance: PathInstance, cfg: GridConfig):
+        widest = max(
+            (hi - lo for lo, hi in zip(instance.weight_lo, instance.weight_hi)),
+            default=Fraction(0),
+        )
+        if widest > MAX_GRID_STEPS * cfg.h:
+            raise PathModelError(
+                f"grid spacing {cfg.h} gives more than {MAX_GRID_STEPS} points per axis"
+            )
         self.instance = instance
         self.cfg = cfg
         self.scenarios: list[tuple[Scenario, Fraction]] = []

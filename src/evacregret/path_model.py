@@ -39,7 +39,11 @@ def to_fraction(value: RationalLike) -> Fraction:
                 raise PathModelError(
                     f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: {value[:40]!r}"
                 )
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            # a malformed literal, or one with a zero denominator such as "1/0"
+            raise PathModelError(f"not an exact rational: {value[:40]!r}") from None
     raise PathModelError(f"not an exact rational: {value!r}")
 
 

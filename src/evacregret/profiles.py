@@ -13,12 +13,14 @@ balanced crossing, a pinned offset endpoint, or a breakpoint of one curve
 matched against slope-bracketed pieces of the other).  Every witness is the
 value of some feasible choice, hence an upper bound pointwise, and at least
 one witness is tight at every alpha, so the min-merge is exact.  All outputs
-are good functions of size O(n).
+are good functions of size O(n).  A pinned coordinate's witness, `_pinned`,
+is also the whole profile of a box with a one-point side.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from . import pwl
@@ -102,6 +104,13 @@ def _require_within(f: PwlFunction, lo: Fraction, hi: Fraction, name: str):
         )
 
 
+def _require_positive(f_left: PwlFunction, f_right: PwlFunction, box: Box, caller: str):
+    sides = ((f_left, box.a1, box.a2, "f_left"), (f_right, box.b1, box.b2, "f_right"))
+    for f, lo, hi, name in sides:
+        if lo < hi and not pwl.restrict(f, lo, hi).is_positive():
+            raise ProfileError(f"{caller} requires positive {name}")
+
+
 # Core: min over box slices of max(fL, fR) --------------------------------------
 
 
@@ -114,21 +123,24 @@ def _min_against_const_left(c: Fraction, f_right: PwlFunction, box: Box) -> PwlF
     return pwl.merge_max(joined, pwl.constant(c, joined.lo, joined.hi))
 
 
+def _pinned(value: Fraction, moving: PwlFunction, shift: Fraction) -> PwlFunction:
+    """max(value, moving(alpha - shift)): the witness of a box coordinate pinned
+    at `shift`, where the pinned side's curve reads `value`."""
+    return pwl.merge_max(
+        pwl.shift_arg(moving, shift),
+        pwl.constant(value, moving.lo + shift, moving.hi + shift),
+    )
+
+
 def _five_witness_profile(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFunction:
     """The witness construction for strictly increasing fL, fR."""
     a1, a2, b1, b2 = box.a1, box.a2, box.b1, box.b2
-    witnesses: list[PwlFunction] = []
-
-    def pinned(const_val: Fraction, moving: PwlFunction, shift: Fraction) -> PwlFunction:
-        return pwl.merge_max(
-            pwl.shift_arg(moving, shift),
-            pwl.constant(const_val, moving.lo + shift, moving.hi + shift),
-        )
-
-    witnesses.append(pinned(f_left(a1), pwl.restrict(f_right, b1, b2), a1))
-    witnesses.append(pinned(f_left(a2), pwl.restrict(f_right, b1, b2), a2))
-    witnesses.append(pinned(f_right(b1), pwl.restrict(f_left, a1, a2), b1))
-    witnesses.append(pinned(f_right(b2), pwl.restrict(f_left, a1, a2), b2))
+    witnesses = [
+        _pinned(f_left(a1), pwl.restrict(f_right, b1, b2), a1),
+        _pinned(f_left(a2), pwl.restrict(f_right, b1, b2), a2),
+        _pinned(f_right(b1), pwl.restrict(f_left, a1, a2), b1),
+        _pinned(f_right(b2), pwl.restrict(f_left, a1, a2), b2),
+    ]
 
     # balanced crossing: invert both curves and re-invert their sum
     t_lo = max(f_left(a1), f_right(b1))
@@ -147,10 +159,7 @@ def _min_max_core(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFun
     _require_within(f_left, a1, a2, "f_left")
     _require_within(f_right, b1, b2, "f_right")
     if a1 == a2:
-        return pwl.merge_max(
-            pwl.shift_arg(pwl.restrict(f_right, b1, b2), a1),
-            pwl.constant(f_left(a1), box.alpha_lo, box.alpha_hi),
-        )
+        return _pinned(f_left(a1), pwl.restrict(f_right, b1, b2), a1)
     if b1 == b2:
         return _min_max_core(f_right, f_left, Box(b1, b2, a1, a2))
 
@@ -168,7 +177,7 @@ def _min_max_core(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFun
         result = _five_witness_profile(pos_l, pos_r, box)
     for c in consts:
         result = pwl.merge_max(result, pwl.constant(c, result.lo, result.hi))
-    return pwl.canonical(result)
+    return result
 
 
 def min_max_profile(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFunction:
@@ -177,10 +186,7 @@ def min_max_profile(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlF
     Inputs must be positive (strictly increasing) on the box sides; the result
     is good, of size at most 5*(size_fL + size_fR) + 8, built in linear time.
     """
-    if box.a1 < box.a2 and not pwl.restrict(f_left, box.a1, box.a2).is_positive():
-        raise ProfileError("min_max_profile requires positive f_left")
-    if box.b1 < box.b2 and not pwl.restrict(f_right, box.b1, box.b2).is_positive():
-        raise ProfileError("min_max_profile requires positive f_right")
+    _require_positive(f_left, f_right, box, "min_max_profile")
     return _min_max_core(f_left, f_right, box)
 
 
@@ -263,15 +269,11 @@ def _min_max_offset_core(
 
     if a1 == a2:
         moved = pwl.shift_arg(fr, a1)
-        parts = [
+        return reduce(pwl.merge_max, [
             pwl.constant(fl(a1) + y_lo, moved.lo, moved.hi),
             pwl.scale(pwl.add_const(moved, fl(a1)), Fraction(1, 2)),
             pwl.add_const(moved, -y_hi),
-        ]
-        out = parts[0]
-        for p in parts[1:]:
-            out = pwl.merge_max(out, p)
-        return pwl.canonical(out)
+        ])
     if b1 == b2:
         # y -> -y swaps the roles of the two sides
         return _min_max_offset_core(fr, fl, Box(b1, b2, a1, a2), -y_hi, -y_lo)
@@ -341,10 +343,7 @@ def min_max_y_profile(
     is good with O(size_fL + size_fR) pieces.
     """
     y_lo, y_hi = to_fraction(y_range[0]), to_fraction(y_range[1])
-    if box.a1 < box.a2 and not pwl.restrict(f_left, box.a1, box.a2).is_positive():
-        raise ProfileError("min_max_y_profile requires positive f_left")
-    if box.b1 < box.b2 and not pwl.restrict(f_right, box.b1, box.b2).is_positive():
-        raise ProfileError("min_max_y_profile requires positive f_right")
+    _require_positive(f_left, f_right, box, "min_max_y_profile")
     return _min_max_offset_core(f_left, f_right, box, y_lo, y_hi)
 
 
@@ -382,9 +381,7 @@ def _edge_profile_core(
     interior = _min_max_offset_core(f_left, f_right, box, xk, xk1)
     # a side with no weight contributes zero, not its (negative) line value
     interior = pwl.merge_max(interior, pwl.constant(0, interior.lo, interior.hi))
-    return pwl.canonical(
-        pwl.merge_min_total(pwl.merge_min_total(at_left, at_right), interior)
-    )
+    return pwl.merge_min_total(pwl.merge_min_total(at_left, at_right), interior)
 
 
 def vertex_min_profile(

@@ -2,7 +2,10 @@
 
 Functions are stored as breakpoints plus the values there, so continuity holds
 by construction.  All arithmetic is over fractions.Fraction; every operation
-documents its output-size bound.
+documents its output-size bound.  restrict, add, merge_max, max_difference_all
+and merge_min_to_total all evaluate their inputs on one grid, `_cuts`: the
+interval ends and every input breakpoint between them.  Merges and sums return
+canonical functions (no two neighbouring pieces on one line).
 """
 from __future__ import annotations
 
@@ -127,16 +130,10 @@ def evaluate(f: PwlFunction, x: RationalLike) -> Fraction:
 def restrict(f: PwlFunction, lo: RationalLike, hi: RationalLike) -> PwlFunction:
     """Restriction to [lo, hi], which must lie within the domain."""
     lo, hi = to_fraction(lo), to_fraction(hi)
-    if lo > hi:
-        raise PwlError(f"empty restriction interval [{lo}, {hi}]")
-    if lo == hi:
-        return PwlFunction((lo,), (evaluate(f, lo),))
-    points = [(lo, evaluate(f, lo))]
-    for q, v in zip(f.breakpoints, f.values):
-        if lo < q < hi:
-            points.append((q, v))
-    points.append((hi, evaluate(f, hi)))
-    return from_points(points)
+    if not f.lo <= lo <= hi <= f.hi:
+        raise PwlError(f"restriction [{lo}, {hi}] is empty or outside [{f.lo}, {f.hi}]")
+    qs = _cuts((f,), lo, hi)
+    return PwlFunction(tuple(qs), tuple(_values_on(f, qs)))
 
 
 # Envelope construction --------------------------------------------------------
@@ -197,35 +194,10 @@ def upper_envelope(
 # Pointwise algebra ------------------------------------------------------------
 
 
-def _merged_breakpoints(f: PwlFunction, g: PwlFunction, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """Sorted union of both breakpoint sets clipped to [lo, hi], including the
-    interval endpoints; single two-pointer pass."""
-    out = [lo]
-    i = j = 0
-    fb, gb = f.breakpoints, g.breakpoints
-    while i < len(fb) and fb[i] <= lo:
-        i += 1
-    while j < len(gb) and gb[j] <= lo:
-        j += 1
-    while True:
-        fq = fb[i] if i < len(fb) else None
-        gq = gb[j] if j < len(gb) else None
-        if fq is not None and (gq is None or fq <= gq):
-            q = fq
-            i += 1
-            if gq is not None and gq == q:
-                j += 1
-        elif gq is not None:
-            q = gq
-            j += 1
-        else:
-            break
-        if q >= hi:
-            break
-        out.append(q)
-    if hi > lo:
-        out.append(hi)
-    return out
+def _cuts(parts: Sequence[PwlFunction], lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """lo, hi and every breakpoint of the parts strictly between them,
+    ascending (just [lo] when lo == hi)."""
+    return sorted({lo, hi, *(q for p in parts for q in p.breakpoints if lo < q < hi)})
 
 
 def _values_on(f: PwlFunction, qs: list[Fraction]) -> list[Fraction]:
@@ -252,13 +224,10 @@ def add(f: PwlFunction, g: PwlFunction) -> PwlFunction:
     lo, hi = max(f.lo, g.lo), min(f.hi, g.hi)
     if lo > hi:
         raise PwlError("add: disjoint domains")
-    qs = _merged_breakpoints(f, g, lo, hi)
+    qs = _cuts((f, g), lo, hi)
     fv = _values_on(f, qs)
     gv = _values_on(g, qs)
-    points = [(q, a + b) for q, a, b in zip(qs, fv, gv)]
-    if len(points) == 1:
-        return PwlFunction((lo,), (points[0][1],))
-    return canonical(from_points(points))
+    return canonical(from_points([(q, a + b) for q, a, b in zip(qs, fv, gv)]))
 
 
 def add_const(f: PwlFunction, c: RationalLike) -> PwlFunction:
@@ -296,11 +265,9 @@ def merge_max(f: PwlFunction, g: PwlFunction) -> PwlFunction:
     lo, hi = max(f.lo, g.lo), min(f.hi, g.hi)
     if lo > hi:
         raise PwlError("merge_max: disjoint domains")
-    qs = _merged_breakpoints(f, g, lo, hi)
+    qs = _cuts((f, g), lo, hi)
     fv = _values_on(f, qs)
     gv = _values_on(g, qs)
-    if len(qs) == 1:
-        return PwlFunction((lo,), (max(fv[0], gv[0]),))
     points: list[tuple[Fraction, Fraction]] = [(qs[0], max(fv[0], gv[0]))]
     for t in range(len(qs) - 1):
         d1 = fv[t] - gv[t]
@@ -335,11 +302,9 @@ def max_difference_all(
         lo, hi = max(f.lo, g.lo), min(f.hi, g.hi)
     else:
         lo, hi = to_fraction(interval[0]), to_fraction(interval[1])
-    if lo > hi:
-        raise PwlError("max_difference: empty interval")
-    if lo < max(f.lo, g.lo) or hi > min(f.hi, g.hi):
-        raise PwlError("max_difference: interval outside a domain")
-    qs = _merged_breakpoints(f, g, lo, hi)
+    if not max(f.lo, g.lo) <= lo <= hi <= min(f.hi, g.hi):
+        raise PwlError("max_difference: interval empty or outside a domain")
+    qs = _cuts((f, g), lo, hi)
     diffs = [a - b for a, b in zip(_values_on(f, qs), _values_on(g, qs))]
     best = max(diffs)
     return best, [q for q, d in zip(qs, diffs) if d == best]
@@ -386,7 +351,7 @@ def merge_min_to_total(
             raise PwlError(f"min-merge leaves {lo} uncovered")
         return PwlFunction((lo,), (min(vals),))
     singles = [p for p in parts if p.size == 0]
-    cuts = sorted({lo, hi, *(q for p in parts for q in p.breakpoints if lo < q < hi)})
+    cuts = _cuts(parts, lo, hi)
     # each part's values at the cuts it spans, by one walk per part
     walks = []
     for p in parts:

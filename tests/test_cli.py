@@ -166,6 +166,7 @@ def test_dump_pwl_refuses_out_of_range_envelope_indices(t1_file, capsys):
         ("F:1:1:2", "left family indices out of range"),
         ("F:0:1:3", "left family sink out of range"),
         ("F:0:1:1", "left family sink out of range"),
+        ("F:0:1:1/0", "not an exact rational"),
     ]
     for name, message in refused:
         assert run(["dump-pwl", "--instance", t1_file, "--name", name]) == 1
@@ -193,21 +194,66 @@ def test_boolean_capacity_rejected(tmp_path):
 
 
 def test_huge_decimal_exponent_rejected(tmp_path, capsys):
-    # parsing "1e-3000000" would build a 3-million-digit integer first
+    # parsing "1e-3000000" would build a 3-million-digit integer first; "1/0"
+    # and "abc" have no value at all
+    for literal, message in (
+        ("1e-3000000", "exponent"),
+        ("1/0", "not an exact rational"),
+        ("abc", "not an exact rational"),
+    ):
+        doc = {
+            "vertices": [
+                {"position": "0", "w_min": "0", "w_max": literal},
+                {"position": "1", "w_min": "0", "w_max": "2"},
+            ],
+            "capacities": ["1"],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", "--instance", str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is False
+        assert message in out["errors"][0]
+
+
+def test_oracle_refuses_unbounded_step_counts(t1_file, scenario_file, capsys):
+    # a dt or grid this fine would run for days; both are refused before any work
+    for argv, message in (
+        (["simulate", "--scenario", scenario_file, "--sink", "1", "--dt", "1e-12"], "steps"),
+        (["grid-rmax", "--sink", "1", "--grid", "1e-12"], "points per axis"),
+        (["sweep-ropt", "--grid", "1e-12"], "points per axis"),
+    ):
+        assert run(["oracle", argv[0], "--instance", t1_file, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+def test_oracle_timeout_is_an_error(tmp_path, capsys):
+    # 20000 units over one capacity-1 edge take longer than the simulated cap
     doc = {
         "vertices": [
-            {"position": "0", "w_min": "0", "w_max": "1e-3000000"},
-            {"position": "1", "w_min": "0", "w_max": "2"},
+            {"position": "0", "w_min": "0", "w_max": "20000"},
+            {"position": "1", "w_min": "0", "w_max": "0"},
         ],
         "capacities": ["1"],
     }
-    path = tmp_path / "huge.json"
+    path = tmp_path / "heavy.json"
     path.write_text(json.dumps(doc))
-    assert run(["validate", "--instance", str(path)]) == 1
-    assert "exponent" in capsys.readouterr().out
-
-
-def test_sink_outside_path_rejected(t1_file, scenario_file):
+    scenario = tmp_path / "heavy_s.json"
+    scenario.write_text(json.dumps({"weights": ["20000", "0"]}))
     assert run([
-        "evacuate", "--instance", t1_file, "--scenario", scenario_file, "--sink", "9",
+        "oracle", "simulate", "--instance", str(path), "--scenario", str(scenario),
+        "--sink", "1", "--dt", "1",
     ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: simulation did not drain")
+
+
+def test_sink_outside_path_rejected(t1_file, scenario_file, capsys):
+    for sink, message in (("9", "outside"), ("1/0", "not an exact rational")):
+        assert run([
+            "evacuate", "--instance", t1_file, "--scenario", scenario_file, "--sink", sink,
+        ]) == 1
+        assert message in capsys.readouterr().err

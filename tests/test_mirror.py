@@ -1,5 +1,6 @@
 """Properties on generated small instances, including the degenerate ones:
-zero-width intervals, zero lower bounds and all-zero weights.  The solver
+zero-width intervals, zero lower bounds, all-zero weights and one capacity
+on every edge.  The solver
 derives the right side of the path from the left by reflection; these
 properties check that the solver on the mirror image gives mirrored answers,
 that a single-varying profile matches the closed form on either side of its
@@ -33,6 +34,9 @@ def instances(draw, min_n: int = 0) -> PathInstance:
     for length in draw(st.lists(QUARTERS, min_size=n, max_size=n)):
         positions.append(positions[-1] + length)
     capacities = draw(st.lists(QUARTERS, min_size=n, max_size=n))
+    if draw(st.integers(0, 9)) < 3:
+        # one capacity on every edge, the case the earlier literature assumes
+        capacities = capacities[:1] * n
     all_zero = draw(st.integers(0, 9)) == 0
     weight_lo, weight_hi = [], []
     for _ in range(n + 1):

@@ -174,7 +174,7 @@ def test_instance_edge_lengths():
 def test_decimal_exponent_bound():
     assert to_fraction("1e-1000") == Fraction(1, 10**1000)
     assert to_fraction("25E+3") == 25000
-    for literal in ("1e-1001", "1E1_001", "1e+100000000", "1e" + "0" * 40 + "5000"):
+    for literal in ("1e-1001", "1E1_001", "1e+100000000", "1e" + "0" * 40 + "5000", "1/0"):
         with pytest.raises(PathModelError):
             to_fraction(literal)
 

@@ -241,6 +241,47 @@ def test_merge_min_to_total_matches_pointwise_min(parts, a, b):
         assert merged(x) == _lowest(parts, x)
 
 
+def _cuts_and_midpoints(lo, hi, *functions):
+    """lo, hi and every breakpoint of the functions strictly between them, in
+    order, followed by the midpoint of each pair of neighbours."""
+    cuts = sorted({lo, hi, *(q for f in functions for q in f.breakpoints if lo < q < hi)})
+    return cuts, [(q1 + q2) / 2 for q1, q2 in zip(cuts, cuts[1:])]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(total_functions(), total_functions(), GRID, GRID, GRID, GRID)
+def test_pointwise_operations_match_their_definitions(f0, g0, a, b, c, d):
+    """restrict, add, merge_max and max_difference_all on functions restricted
+    to drawn sub-intervals, so their breakpoint sets differ and one-point
+    domains occur: each equals its definition at every breakpoint of either
+    input, at every midpoint between them and at both ends."""
+    f = pwl.restrict(f0, *sorted((a, b)))
+    g = pwl.restrict(g0, *sorted((c, d)))
+    for part, whole in ((f, f0), (g, g0)):
+        cuts, mids = _cuts_and_midpoints(part.lo, part.hi, whole)
+        assert list(part.breakpoints) == cuts
+        assert all(part(x) == whole(x) for x in cuts + mids)
+    lo, hi = max(f.lo, g.lo), min(f.hi, g.hi)
+    if lo > hi:
+        for op in (pwl.add, pwl.merge_max, pwl.max_difference_all):
+            with pytest.raises(PwlError):
+                op(f, g)
+        return
+    cuts, mids = _cuts_and_midpoints(lo, hi, f, g)
+    total, top = pwl.add(f, g), pwl.merge_max(f, g)
+    for h in (total, top):
+        assert (h.lo, h.hi) == (lo, hi)
+        assert h == pwl.canonical(h)
+    assert all(total(x) == f(x) + g(x) for x in cuts + mids)
+    assert all(top(x) == max(f(x), g(x)) for x in [*cuts, *top.breakpoints, *mids])
+    best, args = pwl.max_difference_all(f, g)
+    assert best == max(f(x) - g(x) for x in cuts)
+    assert all(f(x) - g(x) <= best for x in mids)
+    assert args == [x for x in cuts if f(x) - g(x) == best]
+    with pytest.raises(PwlError):
+        pwl.restrict(f, f.lo - 1, f.hi)
+
+
 def test_max_difference_examples():
     f = pwl.from_points([(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))])
     one = pwl.constant(1, 0, 2)
