@@ -179,7 +179,9 @@ def _default_grid(instance: PathInstance) -> Fraction:
 
 
 def _default_dt(instance: PathInstance) -> Fraction:
-    shortest = min(instance.edge_length(k) for k in range(instance.n))
+    shortest = min(
+        (instance.edge_length(k) for k in range(instance.n)), default=Fraction(1)
+    )
     return shortest / 1024
 
 
@@ -257,20 +259,20 @@ def _run_oracle(args: argparse.Namespace, instance: PathInstance) -> int:
     if args.oracle_command == "simulate":
         scenario = _load_scenario(args.scenario, instance)
         dt = to_fraction(args.dt) if args.dt else _default_dt(instance)
-        value = oracle.simulate_evacuation(
-            instance, to_fraction(args.sink), scenario, oracle.SimConfig(dt)
-        )
+        value = oracle.simulate_evacuation(instance, to_fraction(args.sink), scenario, dt)
         _emit(_with_approx({"dt": format_fraction(dt), "value": format_fraction(value)}))
         return 0
     if args.oracle_command == "grid-rmax":
         h = to_fraction(args.grid) if args.grid else _default_grid(instance)
-        value = oracle.grid_rmax(instance, to_fraction(args.sink), oracle.GridConfig(h))
+        value = oracle.grid_rmax(instance, to_fraction(args.sink), h)
         _emit(_with_approx({"h": format_fraction(h), "value": format_fraction(value)}))
         return 0
     if args.oracle_command == "sweep-ropt":
         h = to_fraction(args.grid) if args.grid else _default_grid(instance)
+        if args.samples < 1:
+            raise PathModelError("--samples must be at least 1")
         point, value = oracle.sweep_ropt(
-            instance, oracle.GridConfig(h), max(args.samples, instance.vertex_count)
+            instance, h, max(args.samples, instance.vertex_count)
         )
         _emit(
             _with_approx(

@@ -26,40 +26,26 @@ from .path_model import (
 )
 
 
-# Largest step counts accepted, so a fine dt or grid spacing is refused before
-# any work instead of running for an unbounded time: simulation steps up to
-# the drain bound x_n + W/c_min, and grid points per weight axis.
+# Largest counts accepted, so a fine step or a huge count is refused before any
+# work instead of running for an unbounded time: simulation steps up to the
+# drain bound x_n + W/c_min, grid points per weight axis, shift trials and
+# sweep samples.  A simulation still running at MAX_SIM_TIME times out.
 MAX_SIM_STEPS = 10**7
+MAX_SIM_TIME = 10_000
 MAX_GRID_STEPS = 1024
+MAX_SHIFT_TRIALS = 10**5
+MAX_SWEEP_SAMPLES = 4096
 
 
 class OracleTimeout(RuntimeError):
-    """The simulation exceeded its configured time cap."""
+    """The simulation did not drain by MAX_SIM_TIME."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    dt: Fraction
-    max_time: Fraction
-
-    def __init__(self, dt: RationalLike, max_time: RationalLike = 10_000):
-        object.__setattr__(self, "dt", to_fraction(dt))
-        object.__setattr__(self, "max_time", to_fraction(max_time))
-        if self.dt <= 0:
-            raise PathModelError("dt must be positive")
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Grid spacing for scenario enumeration; interval endpoints and zero are
-    always included as anchors."""
-
-    h: Fraction
-
-    def __init__(self, h: RationalLike):
-        object.__setattr__(self, "h", to_fraction(h))
-        if self.h <= 0:
-            raise PathModelError("grid spacing must be positive")
+def _positive(step: RationalLike, message: str) -> Fraction:
+    step = to_fraction(step)
+    if step <= 0:
+        raise PathModelError(message)
+    return step
 
 
 # Fluid simulation ---------------------------------------------------------------
@@ -120,7 +106,7 @@ def _simulate_chain(
                 queues[e].append((now + travel[e], take))
         now += dt_int
     else:
-        raise OracleTimeout("simulation did not drain within max_time")
+        raise OracleTimeout(f"simulation did not drain within time {MAX_SIM_TIME}")
     return Fraction(last_arrival, time_scale)
 
 
@@ -128,60 +114,41 @@ def simulate_evacuation(
     instance: PathInstance,
     x: Union[Point, RationalLike],
     s: Scenario,
-    cfg: SimConfig,
+    dt: RationalLike,
 ) -> Fraction:
-    """Fluid-model evacuation time to x, first-order accurate in cfg.dt.
+    """Fluid-model evacuation time to x, first-order accurate in dt.
 
     The two sides of the sink drain independently; the result is rounded up to
-    a step boundary.
+    a step boundary.  The left chain holds every vertex t with x_t < x, in
+    order, with capacity c_t and length min(x_{t+1}, x) - x_t; the right chain
+    every t with x_t > x, from x_n down, with capacity c_{t-1} and length
+    x_t - max(x_{t-1}, x).
     """
-    point = as_point(instance, x)
+    dt = _positive(dt, "dt must be positive")
+    x = as_point(instance, x).value
     total = prefix_weight(s, 0, instance.n)
     if total == 0:
         return Fraction(0)
+    pos, cap, w = instance.positions, instance.capacities, s.weights
     if instance.n:
-        drain = instance.positions[-1] + total / min(instance.capacities)
-        if drain > MAX_SIM_STEPS * cfg.dt:
-            raise PathModelError(f"dt {cfg.dt} needs more than {MAX_SIM_STEPS} steps to drain")
-    max_steps = int(cfg.max_time / cfg.dt) + 1
-    pos = instance.positions
-    kind, idx = instance.locate(point.value)
-
-    if kind == "vertex":
-        left_top, right_low = idx, idx
-        left_extra = None
-        right_extra = None
-    else:
-        left_top, right_low = idx + 1, idx
-        left_extra = (instance.capacities[idx], point.value - pos[idx])
-        right_extra = (instance.capacities[idx], pos[idx + 1] - point.value)
-
-    # left chain: vertices 0..left_top-1 (or ..idx for interior) moving right
-    if kind == "vertex":
-        lbuf = [s.weights[t] for t in range(idx)]
-        lcap = [instance.capacities[t] for t in range(idx)]
-        llen = [pos[t + 1] - pos[t] for t in range(idx)]
-    else:
-        lbuf = [s.weights[t] for t in range(idx + 1)]
-        lcap = [instance.capacities[t] for t in range(idx)] + [left_extra[0]]
-        llen = [pos[t + 1] - pos[t] for t in range(idx)] + [left_extra[1]]
-    left_time = _simulate_chain(lbuf, lcap, llen, cfg.dt, max_steps)
-
-    # right chain mirrored
-    n = instance.n
-    if kind == "vertex":
-        rbuf = [s.weights[t] for t in range(n, idx, -1)]
-        rcap = [instance.capacities[t - 1] for t in range(n, idx, -1)]
-        rlen = [pos[t] - pos[t - 1] for t in range(n, idx, -1)]
-    else:
-        rbuf = [s.weights[t] for t in range(n, idx, -1)]
-        rcap = [instance.capacities[t - 1] for t in range(n, idx + 1, -1)] + [right_extra[0]]
-        rlen = [pos[t] - pos[t - 1] for t in range(n, idx + 1, -1)] + [right_extra[1]]
-    right_time = _simulate_chain(rbuf, rcap, rlen, cfg.dt, max_steps)
-
-    raw = max(left_time, right_time)
-    steps, rem = divmod(raw, cfg.dt)
-    return (steps + (1 if rem else 0)) * cfg.dt
+        drain = pos[-1] + total / min(cap)
+        if drain > MAX_SIM_STEPS * dt:
+            raise PathModelError(f"dt {dt} needs more than {MAX_SIM_STEPS} steps to drain")
+    max_steps = int(MAX_SIM_TIME / dt) + 1
+    left = [t for t in range(len(pos)) if pos[t] < x]
+    right = [t for t in reversed(range(len(pos))) if pos[t] > x]
+    raw = max(
+        _simulate_chain(
+            [w[t] for t in left], [cap[t] for t in left],
+            [min(pos[t + 1], x) - pos[t] for t in left], dt, max_steps,
+        ),
+        _simulate_chain(
+            [w[t] for t in right], [cap[t - 1] for t in right],
+            [pos[t] - max(pos[t - 1], x) for t in right], dt, max_steps,
+        ),
+    )
+    steps, rem = divmod(raw, dt)
+    return (steps + (1 if rem else 0)) * dt
 
 
 # Grid enumeration ----------------------------------------------------------------
@@ -199,28 +166,29 @@ def _axis_grid(lo: Fraction, hi: Fraction, h: Fraction) -> list[Fraction]:
 
 
 class GridOracle:
-    """Enumerates all two-varying grid scenarios of an instance once, caching
-    each scenario's optimal evacuation time, so max-regret queries at several
-    sinks stay cheap."""
+    """Enumerates all two-varying grid scenarios of an instance once, with
+    grid spacing h and the interval ends and zero as anchors, caching each
+    scenario's optimal evacuation time, so max-regret queries at several sinks
+    stay cheap."""
 
-    def __init__(self, instance: PathInstance, cfg: GridConfig):
+    def __init__(self, instance: PathInstance, h: RationalLike):
+        h = _positive(h, "grid spacing must be positive")
         widest = max(
             (hi - lo for lo, hi in zip(instance.weight_lo, instance.weight_hi)),
             default=Fraction(0),
         )
-        if widest > MAX_GRID_STEPS * cfg.h:
+        if widest > MAX_GRID_STEPS * h:
             raise PathModelError(
-                f"grid spacing {cfg.h} gives more than {MAX_GRID_STEPS} points per axis"
+                f"grid spacing {h} gives more than {MAX_GRID_STEPS} points per axis"
             )
         self.instance = instance
-        self.cfg = cfg
         self.scenarios: list[tuple[Scenario, Fraction]] = []
         seen: set[tuple[Fraction, ...]] = set()
         count = instance.vertex_count
         for i in range(count):
             for j in range(i, count):
-                a_grid = _axis_grid(instance.weight_lo[i], instance.weight_hi[i], cfg.h)
-                b_grid = _axis_grid(instance.weight_lo[j], instance.weight_hi[j], cfg.h)
+                a_grid = _axis_grid(instance.weight_lo[i], instance.weight_hi[i], h)
+                b_grid = _axis_grid(instance.weight_lo[j], instance.weight_hi[j], h)
                 for a in a_grid:
                     betas = [a] if i == j else b_grid
                     for b in betas:
@@ -240,21 +208,20 @@ class GridOracle:
         return best
 
 
-def grid_rmax(
-    instance: PathInstance, x: Union[Point, RationalLike], cfg: GridConfig
-) -> Fraction:
+def grid_rmax(instance: PathInstance, x: Union[Point, RationalLike], h: RationalLike) -> Fraction:
     """Max regret at x over the gridded two-varying scenario families."""
-    return GridOracle(instance, cfg).max_regret(x)
+    return GridOracle(instance, h).max_regret(x)
 
 
-def sweep_ropt(
-    instance: PathInstance, cfg: GridConfig, x_samples: int
-) -> tuple[Point, Fraction]:
+def sweep_ropt(instance: PathInstance, h: RationalLike, x_samples: int) -> tuple[Point, Fraction]:
     """Min over vertices plus uniform interior samples of the gridded max
     regret; a lower-bounds check for the exact search."""
+    h = _positive(h, "grid spacing must be positive")
     if x_samples < instance.vertex_count:
         raise PathModelError("x_samples must be at least the vertex count")
-    oracle = GridOracle(instance, cfg)
+    if x_samples > MAX_SWEEP_SAMPLES:
+        raise PathModelError(f"x_samples must be at most {MAX_SWEEP_SAMPLES}")
+    oracle = GridOracle(instance, h)
     points = set(instance.positions)
     total = instance.positions[-1] - instance.positions[0]
     for t in range(1, x_samples):
@@ -298,6 +265,8 @@ def check_shift(instance: PathInstance, trials: int, seed: int = 0) -> ShiftRepo
     """Random valid weight shifts between two vertices: moving weight toward
     the far side of the sink never increases the evacuation time.  Checks both
     orientations; reports the violation count (expected zero)."""
+    if not 0 <= trials <= MAX_SHIFT_TRIALS:
+        raise PathModelError(f"trials must be between 0 and {MAX_SHIFT_TRIALS}")
     rng = random.Random(seed)
     performed = 0
     violations = 0
@@ -313,8 +282,6 @@ def check_shift(instance: PathInstance, trials: int, seed: int = 0) -> ShiftRepo
             s.weights[src] - instance.weight_lo[src],
             instance.weight_hi[dst] - s.weights[dst],
         )
-        if room < 0:
-            continue
         delta = room * Fraction(rng.randint(0, 8), 8)
         shifted = shift(instance, s, src, dst, delta)
         performed += 1

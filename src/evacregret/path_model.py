@@ -209,13 +209,6 @@ def prefix_weight(s: Scenario, i: int, j: int) -> Fraction:
     return s._prefix[j + 1] - s._prefix[i]
 
 
-def is_legal(instance: PathInstance, s: Scenario) -> bool:
-    return len(s.weights) == instance.vertex_count and all(
-        lo <= w <= hi
-        for lo, w, hi in zip(instance.weight_lo, s.weights, instance.weight_hi)
-    )
-
-
 def min_capacity(
     instance: PathInstance,
     x: Union[Point, RationalLike],
@@ -331,6 +324,13 @@ def reflect_scenario(s: Scenario) -> Scenario:
 # JSON instance / scenario formats --------------------------------------------
 
 
+def _load_json(text: str, kind: str):
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise PathModelError(f"malformed {kind} document: nested too deeply") from exc
+
+
 def parse_instance(data: Union[str, dict]) -> PathInstance:
     """Parse the JSON instance format.
 
@@ -338,7 +338,7 @@ def parse_instance(data: Union[str, dict]) -> PathInstance:
     an "edge_lengths" array, in which case positions are its prefix sums.
     """
     if isinstance(data, str):
-        data = json.loads(data)
+        data = _load_json(data, "instance")
     try:
         vertices = data["vertices"]
         capacities = [to_fraction(c) for c in data["capacities"]]
@@ -356,30 +356,10 @@ def parse_instance(data: Union[str, dict]) -> PathInstance:
     return PathInstance(positions, capacities, weight_lo, weight_hi)
 
 
-def emit_instance(instance: PathInstance) -> dict:
-    return {
-        "capacities": [format_fraction(c) for c in instance.capacities],
-        "vertices": [
-            {
-                "position": format_fraction(p),
-                "w_max": format_fraction(hi),
-                "w_min": format_fraction(lo),
-            }
-            for p, lo, hi in zip(
-                instance.positions, instance.weight_lo, instance.weight_hi
-            )
-        ],
-    }
-
-
 def parse_scenario(data: Union[str, dict]) -> Scenario:
     if isinstance(data, str):
-        data = json.loads(data)
+        data = _load_json(data, "scenario")
     try:
         return Scenario([to_fraction(w) for w in data["weights"]])
     except (KeyError, TypeError) as exc:
         raise PathModelError(f"malformed scenario document: {exc}") from exc
-
-
-def emit_scenario(s: Scenario) -> dict:
-    return {"weights": [format_fraction(w) for w in s.weights]}

@@ -34,7 +34,7 @@ from evacregret import (
     regret,
     theta,
 )
-from evacregret.oracle import GridConfig, GridOracle, SimConfig, check_shift, simulate_evacuation
+from evacregret.oracle import GridOracle, check_shift, simulate_evacuation
 from evacregret.path_model import two_varying
 from evacregret.profiles import Box, min_max_profile, min_max_y_profile
 from evacregret.pwl import Line
@@ -94,7 +94,7 @@ def test_criterion_2_simulation_convergence():
 
     dt = Fraction(1, 256)
     errors = [
-        abs(simulate_evacuation(inst, x, s, SimConfig(dt)) - exact)
+        abs(simulate_evacuation(inst, x, s, dt) - exact)
         for inst, s, x, exact in cases
     ]
     c_measured = max(
@@ -106,7 +106,7 @@ def test_criterion_2_simulation_convergence():
     ok = True
     worst = Fraction(0)
     for inst, s, x, exact in cases:
-        err = abs(simulate_evacuation(inst, x, s, SimConfig(half)) - exact)
+        err = abs(simulate_evacuation(inst, x, s, half) - exact)
         bound = c_measured * inst.n * half
         worst = max(worst, err - bound)
         if err > bound:
@@ -139,7 +139,7 @@ def test_criterion_3_grid_agreement():
                 zero_lower=False,
                 weight_hi_range=(Fraction(1, 4), Fraction(1, 2)),
             )
-        oracle = GridOracle(inst, GridConfig(h))
+        oracle = GridOracle(inst, h)
         solver = RegretSolver(inst)
         slack = 2 * h / min(inst.capacities)
         total = inst.positions[-1]

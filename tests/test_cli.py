@@ -217,11 +217,16 @@ def test_huge_decimal_exponent_rejected(tmp_path, capsys):
 
 
 def test_oracle_refuses_unbounded_step_counts(t1_file, scenario_file, capsys):
-    # a dt or grid this fine would run for days; both are refused before any work
+    # a dt or grid this fine, or a count this large, would run for days; each
+    # is refused before any work, as is a negative count
     for argv, message in (
         (["simulate", "--scenario", scenario_file, "--sink", "1", "--dt", "1e-12"], "steps"),
         (["grid-rmax", "--sink", "1", "--grid", "1e-12"], "points per axis"),
         (["sweep-ropt", "--grid", "1e-12"], "points per axis"),
+        (["sweep-ropt", "--samples", "100000000"], "x_samples must be at most"),
+        (["sweep-ropt", "--samples", "-5"], "--samples must be at least 1"),
+        (["check-shift", "--trials", "1000000000"], "trials must be between"),
+        (["check-shift", "--trials", "-5"], "trials must be between"),
     ):
         assert run(["oracle", argv[0], "--instance", t1_file, *argv[1:]]) == 1
         captured = capsys.readouterr()
@@ -257,3 +262,36 @@ def test_sink_outside_path_rejected(t1_file, scenario_file, capsys):
             "evacuate", "--instance", t1_file, "--scenario", scenario_file, "--sink", sink,
         ]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_oracle_simulate_default_dt_without_edges(tmp_path, capsys):
+    # one vertex has no edge to take the default step from; 1/1024 stands in
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps({
+        "vertices": [{"position": "0", "w_min": "0", "w_max": "2"}], "capacities": [],
+    }))
+    scenario = tmp_path / "single_s.json"
+    scenario.write_text(json.dumps({"weights": ["1"]}))
+    assert run([
+        "oracle", "simulate", "--instance", str(path), "--scenario", str(scenario),
+        "--sink", "0",
+    ]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["dt"], out["value"]) == ("1/1024", "0")
+
+
+def test_deeply_nested_json_is_a_validation_error(tmp_path, t1_file, capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    assert run(["validate", "--instance", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False
+    assert "nested too deeply" in out["errors"][0]
+
+    assert run([
+        "evacuate", "--instance", t1_file, "--scenario", str(path), "--sink", "1",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nested too deeply" in captured.err

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from evacregret import PathInstance, RegretSolver, Scenario, regret
 from evacregret.evacuation import _edge_min_from_times, _first_crossing, theta_min_on_edge
-from evacregret.oracle import GridConfig, GridOracle
+from evacregret.oracle import GridOracle
 from evacregret.path_model import reflect_instance, substitute
 from evacregret.profiles import edge_min_profile_single
 
@@ -152,7 +152,7 @@ def test_grid_oracle_within_two_sided_bound(inst):
     two-varying scenarios on a grid of spacing h, is at most the exact one
     and short of it by at most 2h/c_min."""
     h = Fraction(1, 4)
-    solver, oracle = RegretSolver(inst), GridOracle(inst, GridConfig(h))
+    solver, oracle = RegretSolver(inst), GridOracle(inst, h)
     slack = 2 * h / min(inst.capacities)
     for x in vertices_and_midpoints(inst):
         assert 0 <= solver.max_regret(x).value - oracle.max_regret(x) <= slack

@@ -8,10 +8,8 @@ import pytest
 
 from evacregret import Scenario, theta
 from evacregret.oracle import (
-    GridConfig,
     GridOracle,
     ShiftReport,
-    SimConfig,
     check_shift,
     grid_rmax,
     simulate_evacuation,
@@ -25,12 +23,12 @@ from conftest import random_instance, random_scenario, rational
 def test_simulation_matches_formula_fixture(t1):
     s = Scenario([1, 0, 1])
     dt = Fraction(1, 1024)
-    sim = simulate_evacuation(t1, 1, s, SimConfig(dt))
+    sim = simulate_evacuation(t1, 1, s, dt)
     assert abs(sim - 2) <= 3 * 2 * dt
 
 
 def test_simulation_zero_scenario(t1):
-    assert simulate_evacuation(t1, 1, Scenario([0, 0, 0]), SimConfig(Fraction(1, 64))) == 0
+    assert simulate_evacuation(t1, 1, Scenario([0, 0, 0]), Fraction(1, 64)) == 0
 
 
 def test_simulation_unit_weight_converges():
@@ -38,8 +36,8 @@ def test_simulation_unit_weight_converges():
 
     inst = PathInstance([0, 1], [1], [0, 0], [1, 1])
     s = Scenario([1, 0])
-    e1 = abs(simulate_evacuation(inst, 1, s, SimConfig(Fraction(1, 128))) - 2)
-    e2 = abs(simulate_evacuation(inst, 1, s, SimConfig(Fraction(1, 256))) - 2)
+    e1 = abs(simulate_evacuation(inst, 1, s, Fraction(1, 128)) - 2)
+    e2 = abs(simulate_evacuation(inst, 1, s, Fraction(1, 256)) - 2)
     assert e2 <= e1
     assert e2 <= Fraction(2, 256)
 
@@ -48,7 +46,7 @@ def test_simulation_interior_sink(t1):
     s = Scenario([1, 0, 1])
     dt = Fraction(1, 512)
     x = Fraction(3, 2)
-    sim = simulate_evacuation(t1, x, s, SimConfig(dt))
+    sim = simulate_evacuation(t1, x, s, dt)
     exact = theta(t1, x, s).theta
     assert abs(sim - exact) <= 3 * 3 * dt
 
@@ -57,7 +55,6 @@ def test_simulation_convergence_random():
     """First-order convergence: halving dt roughly halves the gap to the
     closed form, and the gap stays within C*n*dt."""
     rng = random.Random(401)
-    worst_ratio = Fraction(0)
     for _ in range(15):
         inst = random_instance(
             rng, max_n=4, zero_lower=rng.random() < 0.5,
@@ -67,37 +64,37 @@ def test_simulation_convergence_random():
         x = inst.positions[rng.randint(0, inst.n)]
         exact = theta(inst, x, s).theta
         dt = Fraction(1, 128)
-        e1 = abs(simulate_evacuation(inst, x, s, SimConfig(dt)) - exact)
-        e2 = abs(simulate_evacuation(inst, x, s, SimConfig(dt / 2)) - exact)
+        e1 = abs(simulate_evacuation(inst, x, s, dt) - exact)
+        e2 = abs(simulate_evacuation(inst, x, s, dt / 2) - exact)
         n = inst.n
+        assert e2 <= e1
         assert e1 <= 4 * n * dt
         assert e2 <= 4 * n * dt / 2
-    assert worst_ratio <= 1
 
 
 def test_grid_rmax_fixtures(t1):
-    assert grid_rmax(t1, 2, GridConfig(Fraction(1, 16))) == 4
-    assert grid_rmax(t1, 1, GridConfig(Fraction(1, 16))) == 3
+    assert grid_rmax(t1, 2, Fraction(1, 16)) == 4
+    assert grid_rmax(t1, 1, Fraction(1, 16)) == 3
 
 
 def test_grid_rmax_degenerate_intervals():
     from evacregret import PathInstance, regret
 
     inst = PathInstance([0, 1, 2], [1, 2], [1, 0, 1], [1, 0, 1])
-    value = grid_rmax(inst, 2, GridConfig(Fraction(1, 8)))
+    value = grid_rmax(inst, 2, Fraction(1, 8))
     assert value == regret(inst, 2, Scenario([1, 0, 1]))
 
 
 def test_grid_rmax_below_exact(t1):
     from evacregret import max_regret
 
-    oracle = GridOracle(t1, GridConfig(Fraction(1, 8)))
+    oracle = GridOracle(t1, Fraction(1, 8))
     for x in (0, 1, 2, Fraction(1, 2)):
         assert oracle.max_regret(x) <= max_regret(t1, x).value
 
 
 def test_sweep_ropt_fixture(t1):
-    point, value = sweep_ropt(t1, GridConfig(Fraction(1, 16)), 64)
+    point, value = sweep_ropt(t1, Fraction(1, 16), 64)
     assert (point.value, value) == (1, 3)
 
 
@@ -105,13 +102,13 @@ def test_sweep_ropt_zero_intervals():
     from evacregret import PathInstance
 
     inst = PathInstance([0, 1, 2], [1, 2], [0, 0, 0], [0, 0, 0])
-    point, value = sweep_ropt(inst, GridConfig(Fraction(1, 8)), 8)
+    point, value = sweep_ropt(inst, Fraction(1, 8), 8)
     assert (point.value, value) == (0, 0)
 
 
 def test_sweep_ropt_mirrored(t1):
     mirror = reflect_instance(t1)
-    point, value = sweep_ropt(mirror, GridConfig(Fraction(1, 16)), 64)
+    point, value = sweep_ropt(mirror, Fraction(1, 16), 64)
     assert (point.value, value) == (1, 3)
 
 

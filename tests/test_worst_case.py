@@ -24,7 +24,7 @@ from evacregret import (
 )
 from evacregret import worst_case
 from evacregret.envelopes import SolveCache, left_envelope_raw, right_envelope_raw
-from evacregret.oracle import GridConfig, GridOracle
+from evacregret.oracle import GridOracle
 from evacregret.path_model import reflect_instance, two_varying
 from evacregret.worst_case import (
     RegretSolver,
@@ -333,7 +333,7 @@ def test_max_regret_against_grid_oracle():
         inst = random_instance(
             rng, max_n=3, zero_lower=rng.random() < 0.4, weight_hi_range=(Fraction(1, 4), 1)
         )
-        oracle = GridOracle(inst, GridConfig(h))
+        oracle = GridOracle(inst, h)
         solver = RegretSolver(inst)
         slack = 2 * h / min(inst.capacities)
         for m in range(inst.vertex_count):
