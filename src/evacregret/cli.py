@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from . import oracle
 from .envelopes import left_envelope_raw, right_envelope_raw
@@ -23,7 +23,10 @@ from .path_model import (
 )
 from .profiles import Box, edge_min_profile, vertex_min_profile
 from .pwl import PwlFunction
-from .worst_case import RegretReport, RegretSolver, Witness, left_arrival_envelope
+from .worst_case import RegretReport, RegretSolver, left_arrival_envelope
+
+# the fields of each profile name dump-pwl accepts, after its kind
+_PROFILE_FIELDS = {"lue": "i:j", "rue": "i:j", "mk": "i:j:k", "medge": "i:j:k", "F": "i:j:x"}
 
 
 def _load_instance(path: str) -> PathInstance:
@@ -45,79 +48,71 @@ def _load_scenario(path: str, instance: PathInstance) -> Scenario:
     return scenario
 
 
-def _emit(payload: dict) -> None:
+def _emit(payload: Union[dict, str]) -> None:
+    """Write a command's result: a JSON object, or dump-pwl's CSV text as is."""
+    if isinstance(payload, str):
+        sys.stdout.write(payload)
+        return
     json.dump(payload, sys.stdout, sort_keys=True, separators=(",", ": "), indent=1)
     sys.stdout.write("\n")
 
 
-def _with_approx(payload: dict) -> dict:
-    approx = {}
-    for key, value in payload.items():
-        if isinstance(value, str):
-            try:
-                approx[key] = float(Fraction(value))
-            except ValueError:
-                continue
-    out = dict(payload)
-    out["approx"] = approx
-    return out
-
-
-def _witness_json(witness: Optional[Witness]) -> Optional[dict]:
-    if witness is None:
-        return None
-    return {
-        "alpha": format_fraction(witness.alpha),
-        "beta": None if witness.beta is None else format_fraction(witness.beta),
-        "edge": witness.edge,
-        "family": witness.family,
-        "i": witness.i,
-        "j": witness.j,
-        "scenario": [format_fraction(w) for w in witness.scenario.weights],
-    }
-
-
-def _report_json(report: RegretReport) -> dict:
-    payload = _with_approx(
-        {
-            "location": format_fraction(report.location.value),
-            "value": format_fraction(report.value),
-        }
-    )
-    payload["witness"] = _witness_json(report.witness)
+def _exact(**values: Fraction) -> dict:
+    """Each value as a reduced p/q string, with its float under "approx"."""
+    payload: dict = {key: format_fraction(v) for key, v in values.items()}
+    payload["approx"] = {key: float(v) for key, v in values.items()}
     return payload
 
 
-def _dump_pwl(f: PwlFunction) -> None:
-    slopes = f.slopes()
-    for idx, (q, v) in enumerate(zip(f.breakpoints, f.values)):
-        right = format_fraction(slopes[idx]) if idx < len(slopes) else ""
-        sys.stdout.write(f"{format_fraction(q)},{format_fraction(v)},{right}\n")
+def _report(report: RegretReport) -> dict:
+    w = report.witness
+    witness = None if w is None else {
+        "alpha": format_fraction(w.alpha),
+        "beta": None if w.beta is None else format_fraction(w.beta),
+        "edge": w.edge,
+        "family": w.family,
+        "i": w.i,
+        "j": w.j,
+        "scenario": [format_fraction(v) for v in w.scenario.weights],
+    }
+    return {**_exact(location=report.location.value, value=report.value), "witness": witness}
+
+
+def _csv(f: PwlFunction) -> str:
+    slopes = [format_fraction(m) for m in f.slopes()] + [""]
+    return "".join(
+        f"{format_fraction(q)},{format_fraction(v)},{m}\n"
+        for q, v, m in zip(f.breakpoints, f.values, slopes)
+    )
 
 
 def _named_profile(name: str, instance: PathInstance, scenario: Optional[Scenario]) -> PwlFunction:
-    parts = name.split(":")
-    kind = parts[0]
-    if kind in ("lue", "rue"):
-        i, j = int(parts[1]), int(parts[2])
-        base = scenario if scenario is not None else instance.lower_scenario()
-        lo = instance.weight_lo[i]
-        hi = instance.weight_hi[i]
-        builder = left_envelope_raw if kind == "lue" else right_envelope_raw
-        return builder(instance, i, j, base, lo, hi)
-    if kind in ("mk", "medge"):
-        i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
-        box = Box(
-            instance.weight_lo[i], instance.weight_hi[i],
-            instance.weight_lo[j], instance.weight_hi[j],
-        )
-        if kind == "mk":
-            return vertex_min_profile(instance, i, j, k, box)
-        return edge_min_profile(instance, i, j, k, box)
+    kind, *fields = name.split(":")
+    if kind not in _PROFILE_FIELDS:
+        raise PathModelError(f"unknown profile name {name!r}")
+    if len(fields) != len(_PROFILE_FIELDS[kind].split(":")):
+        raise PathModelError(f"profile name {name!r} is not {kind}:{_PROFILE_FIELDS[kind]}")
+    if scenario is not None and kind not in ("lue", "rue"):
+        raise PathModelError(f"--scenario applies to lue and rue only, not {kind}")
     if kind == "F":
-        i, j, x = int(parts[1]), int(parts[2]), to_fraction(parts[3])
+        i, j, x = int(fields[0]), int(fields[1]), to_fraction(fields[2])
         return left_arrival_envelope(instance, i, j, x)
-    raise PathModelError(f"unknown profile name {name!r}")
+
+    def interval(t: int) -> tuple[Fraction, Fraction]:
+        # a vertex off the path looks up no weight; the builder refuses it
+        if 0 <= t < instance.vertex_count:
+            return instance.weight_lo[t], instance.weight_hi[t]
+        return Fraction(0), Fraction(0)
+
+    if kind in ("lue", "rue"):
+        i, j = int(fields[0]), int(fields[1])
+        base = scenario if scenario is not None else instance.lower_scenario()
+        builder = left_envelope_raw if kind == "lue" else right_envelope_raw
+        return builder(instance, i, j, base, *interval(i))
+    i, j, k = int(fields[0]), int(fields[1]), int(fields[2])
+    box = Box(*interval(i), *interval(j))
+    builder = vertex_min_profile if kind == "mk" else edge_min_profile
+    return builder(instance, i, j, k, box)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,46 +122,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, scenario: bool = False, sink: bool = False):
-        p = sub.add_parser(name)
+    def add(group, name: str, *options: tuple[str, dict]) -> None:
+        p = group.add_parser(name)
         p.add_argument("--instance", required=True)
-        if scenario:
-            p.add_argument("--scenario", required=True)
-        if sink:
-            p.add_argument("--sink", required=True, help="sink position (rational)")
-        return p
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
 
-    add("validate")
-    add("evacuate", scenario=True, sink=True)
-    add("optimal-sink", scenario=True)
-    add("regret", scenario=True, sink=True)
-    add("maxregret", sink=True)
-    add("minmax-regret")
+    required = {"required": True}
+    scenario = ("--scenario", required)
+    sink = ("--sink", {"required": True, "help": "sink position (rational)"})
+    add(sub, "validate")
+    add(sub, "evacuate", scenario, sink)
+    add(sub, "optimal-sink", scenario)
+    add(sub, "regret", scenario, sink)
+    add(sub, "maxregret", sink)
+    add(sub, "minmax-regret")
 
-    o = sub.add_parser("oracle")
-    osub = o.add_subparsers(dest="oracle_command", required=True)
-    sim = osub.add_parser("simulate")
-    sim.add_argument("--instance", required=True)
-    sim.add_argument("--scenario", required=True)
-    sim.add_argument("--sink", required=True)
-    sim.add_argument("--dt", default=None)
-    grid = osub.add_parser("grid-rmax")
-    grid.add_argument("--instance", required=True)
-    grid.add_argument("--sink", required=True)
-    grid.add_argument("--grid", default=None)
-    sweep = osub.add_parser("sweep-ropt")
-    sweep.add_argument("--instance", required=True)
-    sweep.add_argument("--grid", default=None)
-    sweep.add_argument("--samples", type=int, default=64)
-    shift_p = osub.add_parser("check-shift")
-    shift_p.add_argument("--instance", required=True)
-    shift_p.add_argument("--trials", type=int, default=1000)
-    shift_p.add_argument("--seed", type=int, default=0)
+    osub = sub.add_parser("oracle").add_subparsers(dest="oracle_command", required=True)
+    add(osub, "simulate", scenario, ("--sink", required), ("--dt", {}))
+    add(osub, "grid-rmax", ("--sink", required), ("--grid", {}))
+    add(osub, "sweep-ropt", ("--grid", {}), ("--samples", {"type": int, "default": 64}))
+    add(osub, "check-shift", ("--trials", {"type": int, "default": 1000}),
+        ("--seed", {"type": int, "default": 0}))
 
-    dump = sub.add_parser("dump-pwl")
-    dump.add_argument("--instance", required=True)
-    dump.add_argument("--name", required=True, help="lue:i:j rue:i:j mk:i:j:k medge:i:j:k F:i:j:x")
-    dump.add_argument("--scenario", default=None, help="base scenario for lue/rue")
+    names = " ".join(f"{kind}:{fields}" for kind, fields in _PROFILE_FIELDS.items())
+    add(sub, "dump-pwl", ("--name", {"required": True, "help": names}),
+        ("--scenario", {"help": "base scenario for lue/rue"}))
     return parser
 
 
@@ -179,122 +160,67 @@ def _default_grid(instance: PathInstance) -> Fraction:
 
 
 def _default_dt(instance: PathInstance) -> Fraction:
-    shortest = min(
-        (instance.edge_length(k) for k in range(instance.n)), default=Fraction(1)
-    )
+    shortest = min((instance.edge_length(k) for k in range(instance.n)), default=Fraction(1))
     return shortest / 1024
 
 
-def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        instance = _load_instance(args.instance)
-    except (OSError, ValueError) as exc:
-        if args.command == "validate" and isinstance(exc, PathModelError):
-            _emit({"errors": str(exc).split("; "), "ok": False})
-            return 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        if args.command == "validate":
-            _emit({"errors": [], "ok": True})
-            return 0
-        if args.command == "evacuate":
-            scenario = _load_scenario(args.scenario, instance)
-            result = theta(instance, to_fraction(args.sink), scenario)
-            _emit(
-                _with_approx(
-                    {
-                        "lcv": result.lcv,
-                        "rcv": result.rcv,
-                        "theta": format_fraction(result.theta),
-                        "theta_left": format_fraction(result.theta_left),
-                        "theta_right": format_fraction(result.theta_right),
-                    }
-                )
-            )
-            return 0
-        if args.command == "optimal-sink":
-            scenario = _load_scenario(args.scenario, instance)
-            sink = optimal_sink(instance, scenario)
-            _emit(
-                _with_approx(
-                    {
-                        "location": format_fraction(sink.location.value),
-                        "value": format_fraction(sink.value),
-                    }
-                )
-            )
-            return 0
-        if args.command == "regret":
-            scenario = _load_scenario(args.scenario, instance)
-            value = regret(instance, to_fraction(args.sink), scenario)
-            _emit(_with_approx({"value": format_fraction(value)}))
-            return 0
-        if args.command == "maxregret":
-            report = RegretSolver(instance).max_regret(to_fraction(args.sink))
-            _emit(_report_json(report))
-            return 0
-        if args.command == "minmax-regret":
-            report = RegretSolver(instance).min_max_regret()
-            _emit(_report_json(report))
-            return 0
-        if args.command == "dump-pwl":
-            scenario = (
-                _load_scenario(args.scenario, instance) if args.scenario else None
-            )
-            _dump_pwl(_named_profile(args.name, instance, scenario))
-            return 0
-        if args.command == "oracle":
-            return _run_oracle(args, instance)
-    except (OSError, ValueError, IndexError, oracle.OracleTimeout) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 2
-
-
-def _run_oracle(args: argparse.Namespace, instance: PathInstance) -> int:
-    if args.oracle_command == "simulate":
-        scenario = _load_scenario(args.scenario, instance)
-        dt = to_fraction(args.dt) if args.dt else _default_dt(instance)
-        value = oracle.simulate_evacuation(instance, to_fraction(args.sink), scenario, dt)
-        _emit(_with_approx({"dt": format_fraction(dt), "value": format_fraction(value)}))
-        return 0
-    if args.oracle_command == "grid-rmax":
+def _answer(args: argparse.Namespace, instance: PathInstance) -> Union[dict, str]:
+    """The command's JSON payload, or dump-pwl's CSV text.  Each input is
+    parsed in the order its errors are reported: the scenario file first,
+    then a step (--dt or --grid), then the sink."""
+    command = args.oracle_command if args.command == "oracle" else args.command
+    if command == "validate":
+        return {"errors": [], "ok": True}
+    if command == "maxregret":
+        return _report(RegretSolver(instance).max_regret(to_fraction(args.sink)))
+    if command == "minmax-regret":
+        return _report(RegretSolver(instance).min_max_regret())
+    if command == "check-shift":
+        return vars(oracle.check_shift(instance, args.trials, args.seed))
+    if command == "grid-rmax":
         h = to_fraction(args.grid) if args.grid else _default_grid(instance)
-        value = oracle.grid_rmax(instance, to_fraction(args.sink), h)
-        _emit(_with_approx({"h": format_fraction(h), "value": format_fraction(value)}))
-        return 0
-    if args.oracle_command == "sweep-ropt":
+        return _exact(h=h, value=oracle.grid_rmax(instance, to_fraction(args.sink), h))
+    if command == "sweep-ropt":
         h = to_fraction(args.grid) if args.grid else _default_grid(instance)
         if args.samples < 1:
             raise PathModelError("--samples must be at least 1")
-        point, value = oracle.sweep_ropt(
-            instance, h, max(args.samples, instance.vertex_count)
+        point, value = oracle.sweep_ropt(instance, h, max(args.samples, instance.vertex_count))
+        return _exact(h=h, location=point.value, value=value)
+    if command == "dump-pwl":
+        scenario = _load_scenario(args.scenario, instance) if args.scenario else None
+        return _csv(_named_profile(args.name, instance, scenario))
+    # evacuate, optimal-sink, regret and simulate take a scenario
+    scenario = _load_scenario(args.scenario, instance)
+    if command == "optimal-sink":
+        best = optimal_sink(instance, scenario)
+        return _exact(location=best.location.value, value=best.value)
+    if command == "simulate":
+        dt = to_fraction(args.dt) if args.dt else _default_dt(instance)
+        return _exact(
+            dt=dt, value=oracle.simulate_evacuation(instance, to_fraction(args.sink), scenario, dt)
         )
-        _emit(
-            _with_approx(
-                {
-                    "h": format_fraction(h),
-                    "location": format_fraction(point.value),
-                    "value": format_fraction(value),
-                }
-            )
-        )
-        return 0
-    if args.oracle_command == "check-shift":
-        report = oracle.check_shift(instance, args.trials, args.seed)
-        _emit(
-            {
-                "performed": report.performed,
-                "trials": report.trials,
-                "violations": report.violations,
-            }
-        )
-        return 0
-    return 2
+    if command == "regret":
+        return _exact(value=regret(instance, to_fraction(args.sink), scenario))
+    result = theta(instance, to_fraction(args.sink), scenario)
+    return {
+        **_exact(theta=result.theta, theta_left=result.theta_left, theta_right=result.theta_right),
+        "lcv": result.lcv,
+        "rcv": result.rcv,
+    }
+
+
+def run(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        _emit(_answer(args, _load_instance(args.instance)))
+    except (OSError, ValueError, IndexError, oracle.OracleTimeout) as exc:
+        # only loading the instance can fail validate; it lists the errors
+        if args.command == "validate" and isinstance(exc, PathModelError):
+            _emit({"errors": str(exc).split("; "), "ok": False})
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main() -> None:

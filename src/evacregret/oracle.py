@@ -28,11 +28,13 @@ from .path_model import (
 
 # Largest counts accepted, so a fine step or a huge count is refused before any
 # work instead of running for an unbounded time: simulation steps up to the
-# drain bound x_n + W/c_min, grid points per weight axis, shift trials and
-# sweep samples.  A simulation still running at MAX_SIM_TIME times out.
+# drain bound x_n + W/c_min, grid points per weight axis, two-varying grid
+# scenarios, shift trials and sweep samples.  A simulation still running at
+# MAX_SIM_TIME times out.
 MAX_SIM_STEPS = 10**7
 MAX_SIM_TIME = 10_000
 MAX_GRID_STEPS = 1024
+MAX_GRID_SCENARIOS = 2**18
 MAX_SHIFT_TRIALS = 10**5
 MAX_SWEEP_SAMPLES = 4096
 
@@ -181,16 +183,22 @@ class GridOracle:
             raise PathModelError(
                 f"grid spacing {h} gives more than {MAX_GRID_STEPS} points per axis"
             )
+        axes = [_axis_grid(lo, hi, h) for lo, hi in zip(instance.weight_lo, instance.weight_hi)]
+        sizes = [len(axis) for axis in axes]
+        total = sum(sizes)
+        # |A_i| scenarios for each i, and |A_i| |A_j| for each pair i < j
+        if total + (total * total - sum(m * m for m in sizes)) // 2 > MAX_GRID_SCENARIOS:
+            raise PathModelError(
+                f"grid spacing {h} gives more than {MAX_GRID_SCENARIOS} scenarios"
+            )
         self.instance = instance
         self.scenarios: list[tuple[Scenario, Fraction]] = []
         seen: set[tuple[Fraction, ...]] = set()
         count = instance.vertex_count
         for i in range(count):
             for j in range(i, count):
-                a_grid = _axis_grid(instance.weight_lo[i], instance.weight_hi[i], h)
-                b_grid = _axis_grid(instance.weight_lo[j], instance.weight_hi[j], h)
-                for a in a_grid:
-                    betas = [a] if i == j else b_grid
+                for a in axes[i]:
+                    betas = [a] if i == j else axes[j]
                     for b in betas:
                         s = two_varying(instance, i, j, a, b)
                         if s.weights in seen:

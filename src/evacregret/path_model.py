@@ -79,8 +79,9 @@ class PathInstance:
         object.__setattr__(self, "weight_hi", tuple(to_fraction(v) for v in weight_hi))
 
     def __hash__(self) -> int:
-        # hashing tuples of Fractions is costly; cache it (instances are hot
-        # cache keys throughout the solver)
+        # hashing tuples of Fractions is costly; cache it.  The package never
+        # hashes an instance (a SolveCache belongs to one and hashes by
+        # identity); perfbench's tracer does, to count distinct argument tuples
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash(
@@ -335,7 +336,8 @@ def parse_instance(data: Union[str, dict]) -> PathInstance:
     """Parse the JSON instance format.
 
     Vertices either carry explicit "position" fields or the document provides
-    an "edge_lengths" array, in which case positions are its prefix sums.
+    an "edge_lengths" array, in which case positions are its prefix sums; a
+    document giving both is refused.
     """
     if isinstance(data, str):
         data = _load_json(data, "instance")
@@ -344,7 +346,10 @@ def parse_instance(data: Union[str, dict]) -> PathInstance:
         capacities = [to_fraction(c) for c in data["capacities"]]
         weight_lo = [to_fraction(v["w_min"]) for v in vertices]
         weight_hi = [to_fraction(v["w_max"]) for v in vertices]
-        if all("position" in v for v in vertices):
+        placed = ["position" in v for v in vertices]
+        if any(placed) and "edge_lengths" in data:
+            raise PathModelError("give vertex positions or edge_lengths, not both")
+        if all(placed):
             positions = [to_fraction(v["position"]) for v in vertices]
         elif "edge_lengths" in data:
             lengths = [to_fraction(d) for d in data["edge_lengths"]]

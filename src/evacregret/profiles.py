@@ -27,6 +27,7 @@ from . import pwl
 from .envelopes import SolveCache, cache_for, cached_envelope
 from .path_model import (
     PathInstance,
+    PathModelError,
     RationalLike,
     Scenario,
     to_fraction,
@@ -390,7 +391,7 @@ def vertex_min_profile(
     """Min over box slices of the evacuation time at x_k under two-varying
     scenarios with free weights at i and j (i <= k <= j)."""
     if not (0 <= i <= k <= j < instance.vertex_count):
-        raise ProfileError(f"vertex_min_profile requires i <= k <= j, got {i},{k},{j}")
+        raise PathModelError(f"vertex_min_profile requires i <= k <= j, got {i},{k},{j}")
     base = two_varying(instance, i, j, 0, 0)
     return _vertex_profile_core(base, i, j, k, box, SolveCache(instance))
 
@@ -408,7 +409,7 @@ def edge_min_profile(
     evacuation time under two-varying scenarios (i <= k < j).  `cache`, when
     given, is the instance's SolveCache; it changes no result."""
     if not (0 <= i <= k < j < instance.vertex_count):
-        raise ProfileError(f"edge_min_profile requires i <= k < j, got {i},{k},{j}")
+        raise PathModelError(f"edge_min_profile requires i <= k < j, got {i},{k},{j}")
     base = two_varying(instance, i, j, 0, 0)
     return _edge_profile_core(base, i, j, k, box, cache_for(instance, cache))
 
@@ -433,7 +434,7 @@ def edge_min_profile_single(
     """
     lo, hi = to_fraction(alpha_range[0]), to_fraction(alpha_range[1])
     if not (0 <= k < instance.n and 0 <= j < instance.vertex_count):
-        raise ProfileError(f"edge_min_profile_single indices out of range: {j},{k}")
+        raise PathModelError(f"edge_min_profile_single indices out of range: {j},{k}")
     cache = cache_for(instance, cache)
     n = instance.n
     if j <= k:

@@ -37,18 +37,26 @@ def test_validate_ok(t1_file, capsys):
 
 
 def test_validate_bad(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "vertices": [
-            {"position": "0", "w_min": "0", "w_max": "2"},
-            {"position": "1", "w_min": "0", "w_max": "2"},
-        ],
-        "capacities": ["0"],
-    }))
-    assert run(["validate", "--instance", str(bad)]) == 1
-    out = json.loads(capsys.readouterr().out)
-    assert out["ok"] is False
-    assert any("capacity" in e for e in out["errors"])
+    two = [{"position": str(p), "w_min": "0", "w_max": "2"} for p in range(2)]
+    unplaced = [{"w_min": "0", "w_max": "2"}] * 2
+    for doc, message in (
+        ({"vertices": two, "capacities": ["0"]}, "capacity"),
+        ({"vertices": [], "capacities": []}, "positions empty"),
+        ({"vertices": two, "capacities": ["1", "1"]}, "2 capacities for 2 vertices"),
+        ({"vertices": [two[0], {**two[1], "w_min": "-1"}], "capacities": ["1"]}, "negative"),
+        ({"vertices": unplaced, "capacities": ["1"]}, "lack positions"),
+        # positions come from the vertices or from edge_lengths, never both,
+        # even when only some vertices have one
+        ({"vertices": two, "edge_lengths": ["1"], "capacities": ["1"]}, "not both"),
+        ({"vertices": [two[0], unplaced[1]], "edge_lengths": ["1"], "capacities": ["1"]},
+         "not both"),
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["validate", "--instance", str(bad)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is False
+        assert any(message in e for e in out["errors"])
 
 
 def test_unknown_flag_usage_error(t1_file):
@@ -144,7 +152,7 @@ def test_oracle_subcommands(t1_file, scenario_file, capsys):
     assert json.loads(capsys.readouterr().out)["violations"] == 0
 
 
-def test_dump_pwl(t1_file, capsys):
+def test_dump_pwl(t1_file, scenario_file, capsys):
     assert run(["dump-pwl", "--instance", t1_file, "--name", "mk:0:2:1"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")
     assert rows[0] == "0,1,1/3"
@@ -154,11 +162,38 @@ def test_dump_pwl(t1_file, capsys):
     rows = capsys.readouterr().out.strip().split("\n")
     assert rows[0] == "0,1,1/2"
 
+    assert run(["dump-pwl", "--instance", t1_file, "--name", "medge:0:2:1"]) == 0
+    assert capsys.readouterr().out == "0,1,1/4\n2,3/2,1/2\n3,2,1\n4,3,\n"
 
-def test_dump_pwl_refuses_out_of_range_envelope_indices(t1_file, capsys):
+    # --scenario replaces the all-lower base of lue and rue: with one unit
+    # at v_0 the left time at x_2 starts at 3, and the weight at v_1 adds none
+    argv = ["dump-pwl", "--instance", t1_file, "--name", "lue:1:2"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "0,1,1/2\n2,2,\n"
+    assert run([*argv, "--scenario", scenario_file]) == 0
+    assert capsys.readouterr().out == "0,3,0\n2,3,\n"
+
+
+def test_dump_pwl_refuses_out_of_range_envelope_indices(t1_file, scenario_file, capsys):
     refused = [
         (name, "envelope indices out of range")
-        for name in ("lue:-1:2", "lue:-3:1", "lue:0:-1", "rue:-1:0", "lue:1:5")
+        for name in (
+            "lue:-1:2", "lue:-3:1", "lue:0:-1", "rue:-1:0", "lue:1:5", "lue:5:1", "rue:5:1",
+        )
+    ]
+    # an index is checked before its weight interval is looked up
+    refused += [
+        ("mk:0:9:1", "vertex_min_profile requires i <= k <= j"),
+        ("mk:9:2:1", "vertex_min_profile requires i <= k <= j"),
+        ("medge:0:9:1", "edge_min_profile requires i <= k < j"),
+    ]
+    # a name carries exactly the fields --name's help lists
+    refused += [
+        ("mk:0:2", "is not mk:i:j:k"),
+        ("mk:0:2:1:9", "is not mk:i:j:k"),
+        ("lue:0:1:7", "is not lue:i:j"),
+        ("F:0:1:2:junk", "is not F:i:j:x"),
+        ("zz:0:1", "unknown profile name"),
     ]
     # F:i:j:x is refused exactly where eval_left_pair_inner is: i == j, and
     # a sink right of x_n or at x_j
@@ -173,6 +208,13 @@ def test_dump_pwl_refuses_out_of_range_envelope_indices(t1_file, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+    # only the one-sided envelopes take a base scenario
+    for name in ("mk:0:2:1", "medge:0:2:1", "F:0:1:2"):
+        argv = ["dump-pwl", "--instance", t1_file, "--name", name, "--scenario", scenario_file]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--scenario applies to lue and rue only" in captured.err
 
 
 def test_missing_file_is_validation_error(capsys):
@@ -222,6 +264,7 @@ def test_oracle_refuses_unbounded_step_counts(t1_file, scenario_file, capsys):
     for argv, message in (
         (["simulate", "--scenario", scenario_file, "--sink", "1", "--dt", "1e-12"], "steps"),
         (["grid-rmax", "--sink", "1", "--grid", "1e-12"], "points per axis"),
+        (["grid-rmax", "--sink", "1", "--grid", "1/512"], "scenarios"),
         (["sweep-ropt", "--grid", "1e-12"], "points per axis"),
         (["sweep-ropt", "--samples", "100000000"], "x_samples must be at most"),
         (["sweep-ropt", "--samples", "-5"], "--samples must be at least 1"),
@@ -254,6 +297,22 @@ def test_oracle_timeout_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: simulation did not drain")
+
+
+def test_bad_scenario_file_rejected(t1_file, tmp_path, capsys):
+    for weights, message in (
+        (["1", "0"], "scenario length does not match instance"),
+        (["1", "-1", "1"], "scenario weights must be nonnegative"),
+        (5, "malformed scenario document"),
+    ):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"weights": weights}))
+        assert run([
+            "evacuate", "--instance", t1_file, "--scenario", str(path), "--sink", "1",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 def test_sink_outside_path_rejected(t1_file, scenario_file, capsys):

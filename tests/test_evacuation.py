@@ -4,7 +4,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from evacregret import PathInstance, RegretSolver, Scenario, optimal_sink, regret, theta
+import pytest
+
+from evacregret import (
+    PathInstance,
+    PathModelError,
+    RegretSolver,
+    Scenario,
+    optimal_sink,
+    regret,
+    theta,
+)
 from evacregret.envelopes import arrival_envelope
 from evacregret.evacuation import _edge_min_from_times, theta_min_on_edge
 from evacregret.path_model import reflect_instance, reflect_scenario
@@ -53,6 +63,9 @@ def test_theta_min_on_edge_examples(t1):
     assert (point.value, value) == (1, 2)
     point, value = theta_min_on_edge(t1, 1, Scenario([0, 0, 0]))
     assert (point.value, value) == (1, 0)
+    for k in (-1, 2):
+        with pytest.raises(PathModelError, match="edge index out of range"):
+            theta_min_on_edge(t1, k, Scenario([0, 0, 0]))
 
 
 def test_theta_min_on_edge_dense_oracle():

@@ -42,6 +42,9 @@ def test_validate_origin_and_intervals():
     errors = validate(bad)
     assert any("expected 0" in e for e in errors)
     assert any("interval 0 empty" in e for e in errors)
+    # no document can give this: weights come from the vertices
+    short = PathInstance([0, 1], [1], [0], [2, 2])
+    assert "weight interval arrays must have one entry per vertex" in validate(short)
 
 
 def test_prefix_weight(t1):

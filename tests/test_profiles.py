@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from evacregret import Scenario, pwl, theta
+from evacregret import PathModelError, Scenario, pwl, theta
 from evacregret.evacuation import theta_min_on_edge
 from evacregret.path_model import two_varying
 from evacregret.profiles import (
@@ -170,6 +170,22 @@ def test_vertex_min_profile_weight_at_sink(t1):
     # sink at the varying vertex itself: the profile is identically zero
     m = vertex_min_profile(t1, 0, 1, 0, Box(0, 2, 0, 0))
     assert m.values == (0, 0)
+
+
+def test_profiles_refuse_bad_indices_and_empty_boxes(t1):
+    box, base = Box(0, 2, 0, 2), t1.lower_scenario()
+    for build, error, message in (
+        (lambda: vertex_min_profile(t1, 0, 2, 3, box), PathModelError, "i <= k <= j"),
+        (lambda: vertex_min_profile(t1, 2, 0, 1, box), PathModelError, "i <= k <= j"),
+        (lambda: edge_min_profile(t1, 0, 2, 2, box), PathModelError, "i <= k < j"),
+        (lambda: edge_min_profile(t1, 1, 1, 1, box), PathModelError, "i <= k < j"),
+        (lambda: edge_min_profile_single(t1, 0, 2, base, (0, 2)), PathModelError, "range"),
+        (lambda: edge_min_profile_single(t1, 3, 0, base, (0, 2)), PathModelError, "range"),
+        (lambda: Box(1, 0, 0, 2), ProfileError, "nonempty"),
+        (lambda: Box(0, 2, 2, 1), ProfileError, "nonempty"),
+    ):
+        with pytest.raises(error, match=message):
+            build()
 
 
 def test_vertex_min_profile_random_exact():
