@@ -151,14 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_grid(instance: PathInstance) -> Fraction:
-    width = max(
-        (hi - lo for lo, hi in zip(instance.weight_lo, instance.weight_hi)),
-        default=Fraction(0),
-    )
-    return width / 64 if width > 0 else Fraction(1, 64)
-
-
 def _default_dt(instance: PathInstance) -> Fraction:
     shortest = min((instance.edge_length(k) for k in range(instance.n)), default=Fraction(1))
     return shortest / 1024
@@ -178,10 +170,10 @@ def _answer(args: argparse.Namespace, instance: PathInstance) -> Union[dict, str
     if command == "check-shift":
         return vars(oracle.check_shift(instance, args.trials, args.seed))
     if command == "grid-rmax":
-        h = to_fraction(args.grid) if args.grid else _default_grid(instance)
+        h = to_fraction(args.grid) if args.grid else oracle.default_grid(instance)
         return _exact(h=h, value=oracle.grid_rmax(instance, to_fraction(args.sink), h))
     if command == "sweep-ropt":
-        h = to_fraction(args.grid) if args.grid else _default_grid(instance)
+        h = to_fraction(args.grid) if args.grid else oracle.default_grid(instance)
         if args.samples < 1:
             raise PathModelError("--samples must be at least 1")
         point, value = oracle.sweep_ropt(instance, h, max(args.samples, instance.vertex_count))

@@ -160,8 +160,11 @@ def right_envelope_raw(
     hi: RationalLike,
 ) -> PwlFunction:
     """Right evacuation time at x_vertex as a function of the weight at
-    v_varying: left_envelope_raw on the mirror image of the path."""
+    v_varying: left_envelope_raw on the mirror image of the path.  Indices
+    outside 0..n are refused as given, before they are mirrored."""
     n = instance.n
+    if not (0 <= varying <= n and 0 <= vertex <= n):
+        raise PathModelError(f"envelope indices out of range: {varying}, {vertex}")
     return left_envelope_raw(
         reflect_instance(instance), n - varying, n - vertex, reflect_scenario(base), lo, hi
     )

@@ -96,10 +96,6 @@ def theta(
         tr_prev, rcv = _right_time_at_vertex(instance, k, s)
         tl = tl_next - (instance.positions[k + 1] - point.value) if tl_next > 0 else ZERO
         tr = tr_prev - (point.value - instance.positions[k]) if tr_prev > 0 else ZERO
-        if tl == 0:
-            lcv = None
-        if tr == 0:
-            rcv = None
     return EvacResult(tl, tr, max(tl, tr), lcv, rcv)
 
 

@@ -167,6 +167,34 @@ def _axis_grid(lo: Fraction, hi: Fraction, h: Fraction) -> list[Fraction]:
     return sorted(values)
 
 
+def _widest(instance: PathInstance) -> Fraction:
+    widths = (hi - lo for lo, hi in zip(instance.weight_lo, instance.weight_hi))
+    return max(widths, default=Fraction(0))
+
+
+def _grid_axes(instance: PathInstance, h: Fraction) -> list[list[Fraction]]:
+    return [_axis_grid(lo, hi, h) for lo, hi in zip(instance.weight_lo, instance.weight_hi)]
+
+
+def _scenario_count(axes: list[list[Fraction]]) -> int:
+    """Two-varying grid scenarios, repeats included: |A_i| for each i, and
+    |A_i| |A_j| for each pair i < j."""
+    sizes = [len(axis) for axis in axes]
+    total = sum(sizes)
+    return total + (total * total - sum(m * m for m in sizes)) // 2
+
+
+def default_grid(instance: PathInstance) -> Fraction:
+    """The widest weight interval over 64 (1/64 when every interval is a
+    point), doubled while the grid has more than MAX_GRID_SCENARIOS scenarios
+    and a coarser step still thins it."""
+    widest = _widest(instance)
+    h = widest / 64 if widest > 0 else Fraction(1, 64)
+    while h < widest and _scenario_count(_grid_axes(instance, h)) > MAX_GRID_SCENARIOS:
+        h *= 2
+    return h
+
+
 class GridOracle:
     """Enumerates all two-varying grid scenarios of an instance once, with
     grid spacing h and the interval ends and zero as anchors, caching each
@@ -175,19 +203,12 @@ class GridOracle:
 
     def __init__(self, instance: PathInstance, h: RationalLike):
         h = _positive(h, "grid spacing must be positive")
-        widest = max(
-            (hi - lo for lo, hi in zip(instance.weight_lo, instance.weight_hi)),
-            default=Fraction(0),
-        )
-        if widest > MAX_GRID_STEPS * h:
+        if _widest(instance) > MAX_GRID_STEPS * h:
             raise PathModelError(
                 f"grid spacing {h} gives more than {MAX_GRID_STEPS} points per axis"
             )
-        axes = [_axis_grid(lo, hi, h) for lo, hi in zip(instance.weight_lo, instance.weight_hi)]
-        sizes = [len(axis) for axis in axes]
-        total = sum(sizes)
-        # |A_i| scenarios for each i, and |A_i| |A_j| for each pair i < j
-        if total + (total * total - sum(m * m for m in sizes)) // 2 > MAX_GRID_SCENARIOS:
+        axes = _grid_axes(instance, h)
+        if _scenario_count(axes) > MAX_GRID_SCENARIOS:
             raise PathModelError(
                 f"grid spacing {h} gives more than {MAX_GRID_SCENARIOS} scenarios"
             )

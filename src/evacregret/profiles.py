@@ -14,14 +14,18 @@ matched against slope-bracketed pieces of the other).  Every witness is the
 value of some feasible choice, hence an upper bound pointwise, and at least
 one witness is tight at every alpha, so the min-merge is exact.  All outputs
 are good functions of size O(n).  A pinned coordinate's witness, `_pinned`,
-is also the whole profile of a box with a one-point side.
+is also the whole profile of a box with a one-point side.  The offset variant
+is symmetric under y -> -y with the sides swapped, so the pieces that pin a
+breakpoint of the right curve are the left rule, `_pinned_pieces`, applied to
+(fR, fL) over (-y_hi, -y_lo).
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import pwl
 from .envelopes import SolveCache, cache_for, cached_envelope
@@ -79,8 +83,6 @@ def _flat_split(f: PwlFunction) -> tuple[Optional[Fraction], Optional[PwlFunctio
     """
     f = pwl.canonical(f)
     slopes = f.slopes()
-    if not slopes:
-        return f.values[0], None
     if all(m > 0 for m in slopes):
         return None, f
     if slopes[0] != 0 or any(m <= 0 for m in slopes[1:]):
@@ -88,14 +90,8 @@ def _flat_split(f: PwlFunction) -> tuple[Optional[Fraction], Optional[PwlFunctio
     if len(slopes) == 1:
         return f.values[0], None
     # extend the first increasing piece leftward over the flat run
-    const = f.values[0]
-    qs = list(f.breakpoints[1:])
-    vs = list(f.values[1:])
-    lead_q, lead_v = qs[0], vs[0]
-    slope = (vs[1] - vs[0]) / (qs[1] - qs[0])
-    qs.insert(0, f.lo)
-    vs.insert(0, lead_v - slope * (lead_q - f.lo))
-    return const, PwlFunction(tuple(qs), tuple(vs))
+    head = f.values[1] - slopes[1] * (f.breakpoints[1] - f.lo)
+    return f.values[0], PwlFunction((f.lo, *f.breakpoints[1:]), (head, *f.values[1:]))
 
 
 def _require_within(f: PwlFunction, lo: Fraction, hi: Fraction, name: str):
@@ -115,13 +111,12 @@ def _require_positive(f_left: PwlFunction, f_right: PwlFunction, box: Box, calle
 # Core: min over box slices of max(fL, fR) --------------------------------------
 
 
-def _min_against_const_left(c: Fraction, f_right: PwlFunction, box: Box) -> PwlFunction:
-    """min over the alpha-slice of max(c, fR(a2)): fR is minimized by pushing
-    a1 as high as feasible."""
+def _min_against_const_left(f_right: PwlFunction, box: Box) -> PwlFunction:
+    """min over the alpha-slice of fR(a2), the left side being a constant:
+    fR is minimized by pushing a1 as high as feasible."""
     head = pwl.constant(f_right(box.b1), box.alpha_lo, box.a2 + box.b1)
     tail = pwl.shift_arg(pwl.restrict(f_right, box.b1, box.b2), box.a2)
-    joined = pwl.merge_min_to_total([head, tail], box.alpha_lo, box.alpha_hi)
-    return pwl.merge_max(joined, pwl.constant(c, joined.lo, joined.hi))
+    return pwl.merge_min_to_total([head, tail], box.alpha_lo, box.alpha_hi)
 
 
 def _pinned(value: Fraction, moving: PwlFunction, shift: Fraction) -> PwlFunction:
@@ -133,24 +128,20 @@ def _pinned(value: Fraction, moving: PwlFunction, shift: Fraction) -> PwlFunctio
     )
 
 
-def _five_witness_profile(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFunction:
-    """The witness construction for strictly increasing fL, fR."""
-    a1, a2, b1, b2 = box.a1, box.a2, box.b1, box.b2
+def _five_witness_profile(fl: PwlFunction, fr: PwlFunction, box: Box) -> PwlFunction:
+    """The witness construction for strictly increasing fL, fR, given on the
+    box sides: each side pinned at either end, and the balanced crossing."""
     witnesses = [
-        _pinned(f_left(a1), pwl.restrict(f_right, b1, b2), a1),
-        _pinned(f_left(a2), pwl.restrict(f_right, b1, b2), a2),
-        _pinned(f_right(b1), pwl.restrict(f_left, a1, a2), b1),
-        _pinned(f_right(b2), pwl.restrict(f_left, a1, a2), b2),
+        _pinned(pinned.values[t], moving, pinned.breakpoints[t])
+        for pinned, moving in ((fl, fr), (fr, fl))
+        for t in (0, -1)
     ]
-
     # balanced crossing: invert both curves and re-invert their sum
-    t_lo = max(f_left(a1), f_right(b1))
-    t_hi = min(f_left(a2), f_right(b2))
+    t_lo = max(fl.values[0], fr.values[0])
+    t_hi = min(fl.values[-1], fr.values[-1])
     if t_lo <= t_hi:
-        g = pwl.add(pwl.inverse(pwl.restrict(f_left, a1, a2)),
-                    pwl.inverse(pwl.restrict(f_right, b1, b2)))
+        g = pwl.add(pwl.inverse(fl), pwl.inverse(fr))
         witnesses.append(pwl.inverse(pwl.restrict(g, t_lo, t_hi)))
-
     return pwl.merge_min_to_total(witnesses, box.alpha_lo, box.alpha_hi)
 
 
@@ -170,10 +161,11 @@ def _min_max_core(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFun
 
     if pos_l is None and pos_r is None:
         return pwl.constant(max(consts), box.alpha_lo, box.alpha_hi)
+    # the min over splits of max(c, g) is max(c, min over splits of g)
     if pos_l is None:
-        result = _min_against_const_left(const_l, pos_r, box)
+        result = _min_against_const_left(pos_r, box)
     elif pos_r is None:
-        result = _min_against_const_left(const_r, pos_l, Box(b1, b2, a1, a2))
+        result = _min_against_const_left(pos_l, Box(b1, b2, a1, a2))
     else:
         result = _five_witness_profile(pos_l, pos_r, box)
     for c in consts:
@@ -194,56 +186,51 @@ def min_max_profile(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlF
 # Core: the offset variant ------------------------------------------------------
 
 
+def _crossing(f: PwlFunction, t: int, v: Fraction) -> Fraction:
+    """The x on f's piece t (from breakpoint t to t + 1) where f reads v."""
+    q1, q2 = f.breakpoints[t], f.breakpoints[t + 1]
+    v1, v2 = f.values[t], f.values[t + 1]
+    return q1 + (v - v1) * (q2 - q1) / (v2 - v1)
+
+
 def _preimage_interval(
     f: PwlFunction, v_lo: Fraction, v_hi: Fraction
 ) -> Optional[tuple[Fraction, Fraction]]:
     """[leftmost x with f(x) >= v_lo, rightmost x with f(x) <= v_hi] for
     nondecreasing f, or None when empty."""
-    if v_lo > v_hi or f.values[-1] < v_lo or f.values[0] > v_hi:
+    vals = f.values
+    if v_lo > v_hi or vals[-1] < v_lo or vals[0] > v_hi:
         return None
-    if f.values[0] >= v_lo:
-        lo = f.lo
-    else:
-        idx = next(i for i, v in enumerate(f.values) if v >= v_lo)
-        q1, q2 = f.breakpoints[idx - 1], f.breakpoints[idx]
-        v1, v2 = f.values[idx - 1], f.values[idx]
-        lo = q1 + (v_lo - v1) * (q2 - q1) / (v2 - v1)
-    if f.values[-1] <= v_hi:
-        hi = f.hi
-    else:
-        ridx = max(i for i, v in enumerate(f.values) if v <= v_hi)
-        q1, q2 = f.breakpoints[ridx], f.breakpoints[ridx + 1]
-        v1, v2 = f.values[ridx], f.values[ridx + 1]
-        hi = q1 + (v_hi - v1) * (q2 - q1) / (v2 - v1)
-    if lo > hi:
-        return None
+    first, stop = bisect_left(vals, v_lo), bisect_right(vals, v_hi)
+    lo = f.lo if first == 0 else _crossing(f, first - 1, v_lo)
+    hi = f.hi if stop == len(vals) else _crossing(f, stop - 1, v_hi)
     return lo, hi
 
 
-def _balanced_piece(
-    pinned_value: Fraction,
-    moving: PwlFunction,
-    arg_shift: Fraction,
-    arg_window: Optional[tuple[Fraction, Fraction]],
-    y_lo: Fraction,
-    y_hi: Fraction,
-    moving_is_right: bool,
-) -> Optional[PwlFunction]:
-    """Witness piece (pinned + moving)/2 on the sub-domain where the balanced
-    offset (moving - pinned)/2 (sign per side) stays within [y_lo, y_hi]."""
-    if moving_is_right:
-        window = _preimage_interval(moving, pinned_value + 2 * y_lo, pinned_value + 2 * y_hi)
-    else:
-        window = _preimage_interval(moving, pinned_value - 2 * y_hi, pinned_value - 2 * y_lo)
-    if window is None:
-        return None
-    lo, hi = window
-    if arg_window is not None:
-        lo, hi = max(lo, arg_window[0]), min(hi, arg_window[1])
-        if lo > hi:
-            return None
-    piece = pwl.scale(pwl.add_const(pwl.restrict(moving, lo, hi), pinned_value), Fraction(1, 2))
-    return pwl.shift_arg(piece, arg_shift)
+def _pinned_pieces(
+    anchor: PwlFunction, moving: PwlFunction, y_lo: Fraction, y_hi: Fraction
+) -> Iterator[PwlFunction]:
+    """Witness pieces for minimizers that pin the anchor's argument at one of
+    its breakpoints, crit, where it reads v: (v + moving)/2, shifted by crit,
+    wherever the balanced offset (moving - v)/2 lies in [y_lo, y_hi].  At
+    either end of the anchor's domain the whole moving curve may balance it;
+    at an interior breakpoint only the run of moving pieces whose slopes lie
+    between the two anchor slopes meeting there."""
+    slopes_a, slopes_m = anchor.slopes(), moving.slopes()
+    for k, (crit, v) in enumerate(zip(anchor.breakpoints, anchor.values)):
+        first, stop = 0, moving.size
+        if 0 < k < anchor.size:
+            first = bisect_left(slopes_m, slopes_a[k - 1])
+            stop = bisect_right(slopes_m, slopes_a[k])
+        if first >= stop:
+            continue  # no moving slope lies between the two anchor slopes
+        window = _preimage_interval(moving, v + 2 * y_lo, v + 2 * y_hi)
+        if window is None:
+            continue
+        lo, hi = max(window[0], moving.breakpoints[first]), min(window[1], moving.breakpoints[stop])
+        if lo <= hi:
+            piece = pwl.scale(pwl.add_const(pwl.restrict(moving, lo, hi), v), Fraction(1, 2))
+            yield pwl.shift_arg(piece, crit)
 
 
 def _min_max_offset_core(
@@ -279,57 +266,16 @@ def _min_max_offset_core(
         # y -> -y swaps the roles of the two sides
         return _min_max_offset_core(fr, fl, Box(b1, b2, a1, a2), -y_hi, -y_lo)
 
-    witnesses: list[PwlFunction] = [
-        _min_max_core(pwl.add_const(fl, y_lo), pwl.add_const(fr, -y_lo), box),
-        _min_max_core(pwl.add_const(fl, y_hi), pwl.add_const(fr, -y_hi), box),
+    # an offset pinned at either end, then a breakpoint of either curve pinned
+    witnesses = [
+        _min_max_core(pwl.add_const(fl, y), pwl.add_const(fr, -y), box) for y in (y_lo, y_hi)
     ]
-    for pinned, moving, pinned_arg, is_right in (
-        (fl, fr, a1, True),
-        (fl, fr, a2, True),
-        (fr, fl, b1, False),
-        (fr, fl, b2, False),
-    ):
-        piece = _balanced_piece(
-            pinned(pinned_arg), moving, pinned_arg, None, y_lo, y_hi, is_right
-        )
-        if piece is not None:
-            witnesses.append(piece)
-
-    # breakpoint-matching witness: each interior breakpoint of one curve paired
-    # with the slope-bracketed run of the other
-    witnesses += _matching_witness(fl, fr, y_lo, y_hi, left_side=True)
-    witnesses += _matching_witness(fl, fr, y_lo, y_hi, left_side=False)
-
+    witnesses += _pinned_pieces(fl, fr, y_lo, y_hi)
+    witnesses += _pinned_pieces(fr, fl, -y_hi, -y_lo)
     result = pwl.merge_min_to_total(witnesses, box.alpha_lo, box.alpha_hi)
     if not result.is_good():
         raise ProfileError("offset profile came out non-monotone; witness bug")
     return result
-
-
-def _matching_witness(
-    fl: PwlFunction, fr: PwlFunction, y_lo: Fraction, y_hi: Fraction, left_side: bool
-) -> list[PwlFunction]:
-    """Witness pieces for minimizers pinning a breakpoint of one curve: the
-    matched run of the other curve is the contiguous block of pieces whose
-    slopes fall between the two slopes meeting at the breakpoint."""
-    anchor, moving = (fl, fr) if left_side else (fr, fl)
-    slopes_a = anchor.slopes()
-    slopes_m = moving.slopes()
-    pieces: list[PwlFunction] = []
-    for k in range(1, len(slopes_a)):
-        m_lo, m_hi = slopes_a[k - 1], slopes_a[k]
-        s_first = next((s for s, m in enumerate(slopes_m) if m >= m_lo), None)
-        if s_first is None or slopes_m[s_first] > m_hi:
-            continue
-        s_last = max(s for s, m in enumerate(slopes_m) if m <= m_hi)
-        window = (moving.breakpoints[s_first], moving.breakpoints[s_last + 1])
-        crit = anchor.breakpoints[k]
-        piece = _balanced_piece(
-            anchor(crit), moving, crit, window, y_lo, y_hi, moving_is_right=left_side
-        )
-        if piece is not None:
-            pieces.append(piece)
-    return pieces
 
 
 def min_max_y_profile(

@@ -179,8 +179,6 @@ def upper_envelope(
             else:
                 start = cross
                 break
-        else:
-            start = lo
         if start < hi:
             stack.append((line, start))
 

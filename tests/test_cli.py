@@ -175,10 +175,12 @@ def test_dump_pwl(t1_file, scenario_file, capsys):
 
 
 def test_dump_pwl_refuses_out_of_range_envelope_indices(t1_file, scenario_file, capsys):
+    # the message names the indices as given, on either side
     refused = [
-        (name, "envelope indices out of range")
+        (name, "envelope indices out of range: " + name[4:].replace(":", ", "))
         for name in (
             "lue:-1:2", "lue:-3:1", "lue:0:-1", "rue:-1:0", "lue:1:5", "lue:5:1", "rue:5:1",
+            "rue:0:-1", "rue:1:5",
         )
     ]
     # an index is checked before its weight interval is looked up

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from evacregret import Scenario, theta
+from evacregret import PathModelError, PathInstance, Scenario, theta
 from evacregret.oracle import (
     GridOracle,
     ShiftReport,
     check_shift,
+    default_grid,
     grid_rmax,
     simulate_evacuation,
     sweep_ropt,
@@ -83,6 +84,21 @@ def test_grid_rmax_degenerate_intervals():
     inst = PathInstance([0, 1, 2], [1, 2], [1, 0, 1], [1, 0, 1])
     value = grid_rmax(inst, 2, Fraction(1, 8))
     assert value == regret(inst, 2, Scenario([1, 0, 1]))
+
+
+def test_default_grid_fits_the_scenario_bound(t1):
+    """The widest interval over 64, doubled while the grid has more than
+    MAX_GRID_SCENARIOS scenarios.  On a 12-vertex path with [0, 1] intervals
+    1/64 gives 279,630 and 1/32 gives 72,270; that grid is not built here."""
+    assert default_grid(t1) == Fraction(1, 32)  # widest interval 2, as before
+    assert default_grid(PathInstance([0, 1], [1], [0, 0], [0, 0])) == Fraction(1, 64)
+    path12 = PathInstance(list(range(12)), [1] * 11, [0] * 12, [1] * 12)
+    assert default_grid(path12) == Fraction(1, 32)
+    # no spacing fits 400 vertices; the doubling stops at the widest interval
+    path400 = PathInstance(list(range(400)), [1] * 399, [0] * 400, [1] * 400)
+    assert default_grid(path400) == 1
+    with pytest.raises(PathModelError, match="grid spacing 1 gives more than 262144 scenarios"):
+        GridOracle(path400, 1)
 
 
 def test_grid_rmax_below_exact(t1):

@@ -126,13 +126,18 @@ def test_min_max_y_profile_single_point_box():
 
 
 def test_min_max_y_profile_random_exact():
+    """Exact agreement with split enumeration.  The last 20 draws take
+    criterion 4's square box and narrower offset range; like the first 100,
+    they include breakpoints whose balanced window misses the slope-bracketed
+    run of the other curve (an empty witness piece)."""
     rng = random.Random(229)
-    for _ in range(100):
-        fl = random_convex_pwl(rng, 0, 3)
+    draws = [(3, Fraction(1), 2)] * 100 + [(2, Fraction(1, 2), 1)] * 20
+    for a2, y_lo_max, y_width in draws:
+        fl = random_convex_pwl(rng, 0, a2)
         fr = random_convex_pwl(rng, 0, 2)
-        box = Box(0, 3, 0, 2)
-        y_lo = rational(rng, -1, 1, 4)
-        y_hi = y_lo + rational(rng, 0, 2, 4)
+        box = Box(0, a2, 0, 2)
+        y_lo = rational(rng, -1, y_lo_max, 4)
+        y_hi = y_lo + rational(rng, 0, y_width, 4)
         m = min_max_y_profile(fl, fr, box, (y_lo, y_hi))
         assert m.is_good()
         assert m.size <= 12 * (fl.size + fr.size) + 24
