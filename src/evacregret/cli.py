@@ -15,7 +15,6 @@ from .path_model import (
     PathInstance,
     PathModelError,
     Scenario,
-    format_fraction,
     parse_instance,
     parse_scenario,
     to_fraction,
@@ -59,7 +58,7 @@ def _emit(payload: Union[dict, str]) -> None:
 
 def _exact(**values: Fraction) -> dict:
     """Each value as a reduced p/q string, with its float under "approx"."""
-    payload: dict = {key: format_fraction(v) for key, v in values.items()}
+    payload: dict = {key: str(v) for key, v in values.items()}
     payload["approx"] = {key: float(v) for key, v in values.items()}
     return payload
 
@@ -67,23 +66,20 @@ def _exact(**values: Fraction) -> dict:
 def _report(report: RegretReport) -> dict:
     w = report.witness
     witness = None if w is None else {
-        "alpha": format_fraction(w.alpha),
-        "beta": None if w.beta is None else format_fraction(w.beta),
+        "alpha": str(w.alpha),
+        "beta": None if w.beta is None else str(w.beta),
         "edge": w.edge,
         "family": w.family,
         "i": w.i,
         "j": w.j,
-        "scenario": [format_fraction(v) for v in w.scenario.weights],
+        "scenario": [str(v) for v in w.scenario.weights],
     }
     return {**_exact(location=report.location.value, value=report.value), "witness": witness}
 
 
 def _csv(f: PwlFunction) -> str:
-    slopes = [format_fraction(m) for m in f.slopes()] + [""]
-    return "".join(
-        f"{format_fraction(q)},{format_fraction(v)},{m}\n"
-        for q, v, m in zip(f.breakpoints, f.values, slopes)
-    )
+    slopes = [str(m) for m in f.slopes()] + [""]
+    return "".join(f"{q},{v},{m}\n" for q, v, m in zip(f.breakpoints, f.values, slopes))
 
 
 def _named_profile(name: str, instance: PathInstance, scenario: Optional[Scenario]) -> PwlFunction:

@@ -47,11 +47,6 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise PathModelError(f"not an exact rational: {value!r}")
 
 
-def format_fraction(value: Fraction) -> str:
-    """Canonical gcd-reduced "p/q" (or plain "p") form."""
-    return str(value)
-
-
 @dataclass(frozen=True)
 class PathInstance:
     """An embedded path: vertex positions, edge capacities, per-vertex weight intervals.
@@ -210,11 +205,7 @@ def prefix_weight(s: Scenario, i: int, j: int) -> Fraction:
     return s._prefix[j + 1] - s._prefix[i]
 
 
-def min_capacity(
-    instance: PathInstance,
-    x: Union[Point, RationalLike],
-    x2: Union[Point, RationalLike],
-) -> Optional[Fraction]:
+def min_capacity(instance: PathInstance, x: RationalLike, x2: RationalLike) -> Optional[Fraction]:
     """Minimum edge capacity on the subpath spanning x..x2 (x_0 <= x <= x2 <= x_n),
     by a scan of the spanned edges.
 
@@ -223,8 +214,7 @@ def min_capacity(
     undefined; None is returned as the +infinity sentinel and callers must not
     divide by it.  Points off the path raise PathModelError.
     """
-    a = x.value if isinstance(x, Point) else to_fraction(x)
-    b = x2.value if isinstance(x2, Point) else to_fraction(x2)
+    a, b = to_fraction(x), to_fraction(x2)
     if a > b:
         raise PathModelError(f"min_capacity requires x <= x', got {a} > {b}")
     if a < instance.positions[0] or b > instance.positions[-1]:

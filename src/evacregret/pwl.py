@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .path_model import RationalLike, to_fraction
 
@@ -288,20 +288,13 @@ def merge_min_total(f: PwlFunction, g: PwlFunction) -> PwlFunction:
     return PwlFunction(m.breakpoints, tuple(-v for v in m.values))
 
 
-def max_difference_all(
-    f: PwlFunction,
-    g: PwlFunction,
-    interval: Optional[tuple[RationalLike, RationalLike]] = None,
-) -> tuple[Fraction, list[Fraction]]:
-    """Max of f - g over the interval and every breakpoint where it is
+def max_difference_all(f: PwlFunction, g: PwlFunction) -> tuple[Fraction, list[Fraction]]:
+    """Max of f - g on the domain intersection and every breakpoint where it is
     attained, ascending.  The difference is linear between merged breakpoints,
     so endpoint evaluation per segment suffices (O(size_f + size_g))."""
-    if interval is None:
-        lo, hi = max(f.lo, g.lo), min(f.hi, g.hi)
-    else:
-        lo, hi = to_fraction(interval[0]), to_fraction(interval[1])
-    if not max(f.lo, g.lo) <= lo <= hi <= min(f.hi, g.hi):
-        raise PwlError("max_difference: interval empty or outside a domain")
+    lo, hi = max(f.lo, g.lo), min(f.hi, g.hi)
+    if lo > hi:
+        raise PwlError("max_difference: disjoint domains")
     qs = _cuts((f, g), lo, hi)
     diffs = [a - b for a, b in zip(_values_on(f, qs), _values_on(g, qs))]
     best = max(diffs)

@@ -21,17 +21,18 @@ never speeds an evacuation, so on a part [p, q] of the free range P_u is at
 least the floor under least(p), the least time over edge u, and A, which is
 nondecreasing, is at most A(q).  A unit's bound is refined in stages: max(A)
 less the floor under the all-lower scenario, at or below every least(lo)
-(coarse), then under least(lo) (own), then for a free both-free pair A(q) less
-the floor under least(p) on each equal part of [lo, hi] (part).  As coarse >=
-own >= part >= value, a unit whose bound is strictly below a value already
-found can be neither the side's maximum nor tied with it.  The floors do not
-depend on the sink and are memoized per solve.
+(coarse), then under least(lo) (own), then for a free both-free pair the
+largest over the equal parts [p, q] of [lo, hi] of A(q) less the floor under
+least(p) (part).  As coarse >= own >= part >= value, a unit whose bound is
+strictly below a value already found can be neither the side's maximum nor
+tied with it.  The floors do not depend on the sink and are memoized per solve.
 
 The max regret at a sink is max(g, h, 0), where g is the left families' max
 and h the right families'.  Inside an edge each family's arrival time moves
 at slope 1 and its optimum not at all, so g and h there are the end vertices'
 less the distance, and min_max_regret is optimal_sink's search on (g, h).  A
-witness is built by replay once, for the reported point only.
+witness is built by replay once, for the reported point only, a both-free
+pair's split at its side envelopes' breakpoints and crossings (pwl.merge_max).
 """
 from __future__ import annotations
 
@@ -301,9 +302,9 @@ def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
     can reach the side's maximum, in family order; every other term is pruned.
 
     Units are popped from a heap by descending bound, then by term and edge,
-    until a bound falls strictly below the best value found.  A unit popped
-    before its last stage (see the module docstring) is pushed back with the
-    next stage's bound, and at its last stage it is evaluated, once.  So every
+    until a bound falls strictly below the best value found.  A unit's one
+    heap entry is pushed back with the next stage's bound (see the module
+    docstring) until its last stage, when the unit is evaluated.  So every
     unit attaining the side maximum is evaluated, and a term keeps its best
     evaluated unit, first edge on ties: the maximum and its ties are exact."""
     instance, x = cache.instance, cache.instance.positions[m]
@@ -320,22 +321,18 @@ def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
     heapify(units)
     best: Optional[Fraction] = None
     kept: dict[int, _Term] = {}
-    done: set[tuple[int, int]] = set()
     while units:
         negative_bound, k, u, stage = heappop(units)
         if best is not None and -negative_bound < best:
             break
-        if (k, u) in done:
-            continue
         term, line = terms[k], lines[k]
         if stage == 0:
             heappush(units, (term.floor(u, term.lo) - max(line.values), k, u, 1))
         elif stage == 1 and term.box is not None and term.lo < term.hi:
             cuts = [term.lo + (term.hi - term.lo) * Fraction(t, _PARTS) for t in range(_PARTS + 1)]
-            for p, q in zip(cuts, cuts[1:]):
-                heappush(units, (term.floor(u, p) - line(q), k, u, 2))
+            parts = (term.floor(u, p) - line(q) for p, q in zip(cuts, cuts[1:]))
+            heappush(units, (min(parts), k, u, 2))
         else:
-            done.add((k, u))
             unit, held = term.unit(line, u), kept.get(k)
             if held is None or (unit.value, -u) > (held.value, -held.edge):
                 kept[k] = unit
@@ -359,29 +356,16 @@ def _mirror_term(instance: PathInstance, term: _Term) -> _Term:
 
 
 def _candidate_splits(term: _LeftTerm, u: int, alpha: Fraction) -> list[Fraction]:
-    """Candidate first coordinates for the both-free pair split
-    alpha = a1 + a2: slice endpoints, envelope breakpoints projected to the
-    slice, and piecewise crossings of the two side envelopes along the slice."""
-    box, base = term.box, term.base
+    """Candidate a1 for the both-free pair split alpha = a1 + a2: the slice's ends,
+    and on it both side envelopes' breakpoints in a1 and their crossings (merge_max)."""
+    cache, box, base = term.cache, term.box, term.base
     lo = max(box.a1, alpha - box.b2)
     hi = min(box.a2, alpha - box.b1)
-    fl = cached_envelope(term.cache, "left", term.i, u + 1, base, box.a1, box.a2)
-    fr = cached_envelope(term.cache, "right", term.j, u, base, box.b1, box.b2)
-    cuts = {lo, hi}
-    for q in fl.breakpoints:
-        if lo <= q <= hi:
-            cuts.add(q)
-    for q in fr.breakpoints:
-        if lo <= alpha - q <= hi:
-            cuts.add(alpha - q)
-    ordered = sorted(cuts)
-    for q1, q2 in zip(ordered, ordered[1:]):
-        d1 = fl(q1) - fr(alpha - q1)
-        d2 = fl(q2) - fr(alpha - q2)
-        if (d1 > 0 > d2) or (d1 < 0 < d2):
-            cross = q1 + (q2 - q1) * d1 / (d1 - d2)
-            cuts.add(cross)
-    return sorted(cuts)
+    fl = pwl.restrict(cached_envelope(cache, "left", term.i, u + 1, base, box.a1, box.a2), lo, hi)
+    fr = cached_envelope(cache, "right", term.j, u, base, box.b1, box.b2)
+    fr = PwlFunction(tuple(alpha - q for q in reversed(fr.breakpoints)), fr.values[::-1])
+    fr = pwl.restrict(fr, lo, hi)
+    return sorted({*fl.breakpoints, *fr.breakpoints, *pwl.merge_max(fl, fr).breakpoints})
 
 
 def _witness_scenarios(

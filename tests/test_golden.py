@@ -13,8 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import random_instance
-from evacregret import PathInstance, min_max_regret
-from evacregret.path_model import format_fraction
+from evacregret import PathInstance, Scenario, min_max_regret, optimal_sink, theta
 
 GOLDEN = Path(__file__).parent / "data" / "golden_minmax.json"
 
@@ -38,7 +37,7 @@ def golden_instance(k: int) -> PathInstance:
 
 def instance_json(inst: PathInstance) -> dict:
     return {
-        key: [format_fraction(v) for v in getattr(inst, key)]
+        key: [str(v) for v in getattr(inst, key)]
         for key in ("positions", "capacities", "weight_lo", "weight_hi")
     }
 
@@ -51,15 +50,26 @@ def answer_json(inst: PathInstance) -> dict:
         "i": w.i,
         "j": w.j,
         "edge": w.edge,
-        "alpha": format_fraction(w.alpha),
-        "beta": None if w.beta is None else format_fraction(w.beta),
-        "weights": [format_fraction(v) for v in w.scenario.weights],
+        "alpha": str(w.alpha),
+        "beta": None if w.beta is None else str(w.beta),
+        "weights": [str(v) for v in w.scenario.weights],
     }
     return {
-        "value": format_fraction(report.value),
-        "location": format_fraction(report.location.value),
+        "value": str(report.value),
+        "location": str(report.location.value),
         "witness": witness,
     }
+
+
+def check_recorded(inst: PathInstance, entry: dict) -> None:
+    """The instance and report equal the recorded entry, and the witness
+    replays exactly to the reported value through theta and optimal_sink."""
+    assert instance_json(inst) == entry["instance"]
+    answer = answer_json(inst)
+    assert answer == entry["answer"]
+    value, location = Fraction(answer["value"]), Fraction(answer["location"])
+    scenario = Scenario(Fraction(w) for w in answer["witness"]["weights"])
+    assert theta(inst, location, scenario).theta - optimal_sink(inst, scenario).value == value
 
 
 def test_min_max_regret_matches_recorded_answers():

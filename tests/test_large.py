@@ -1,6 +1,7 @@
 """min_max_regret at n = 40, 60 and 80 against answers recorded before the
-branch-and-bound refined its bounds lazily, so the solver is checked at scale
-against answers it did not produce.
+branch-and-bound refined its bounds lazily (the structured shapes: before it
+gave each unit one heap entry), so the solver is checked at scale against
+answers it did not produce.
 
 Opt-in: marked `large`, which the default `addopts` deselects.  Run with
 
@@ -8,20 +9,21 @@ Opt-in: marked `large`, which the default `addopts` deselects.  Run with
 
 `tests/data/large_minmax.json` holds, for each named draw, the instance and
 min_max_regret's value, location and witness (as `tests/test_golden.py`
-records them): criterion 6's n = 40 instance, and `random_instance` seed 1
-redrawn until n reaches 40, 60 and 80."""
+records them): criterion 6's n = 40 instance, `random_instance` seed 1
+redrawn until n reaches 40, 60 and 80, and each of `tests/test_structured.py`'s
+shapes at n = 40 and 60."""
 from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import random_convex_pwl, random_instance, random_positive_pwl
-from evacregret import PathInstance, Scenario, optimal_sink, theta
-from test_golden import answer_json, instance_json
+from evacregret import PathInstance
+from test_golden import check_recorded
+from test_structured import SHAPES, structured_instance
 
 LARGE = Path(__file__).parent / "data" / "large_minmax.json"
 
@@ -47,6 +49,11 @@ def criterion_6_instance() -> PathInstance:
 DRAWS = {
     "criterion_6": criterion_6_instance,
     **{f"seed_1_n{n}": (lambda n=n: redraw(random.Random(1), n)) for n in (40, 60, 80)},
+    **{
+        f"{shape}_n{n}": (lambda shape=shape, n=n: structured_instance(shape, n))
+        for shape in SHAPES
+        for n in (40, 60)
+    },
 }
 
 
@@ -56,10 +63,4 @@ def test_large_min_max_regret_matches_recorded_answer(name):
     """The report equals the recorded one, and its witness replays exactly to
     the reported value through theta and optimal_sink."""
     entry = {e["name"]: e for e in json.loads(LARGE.read_text())["entries"]}[name]
-    inst = DRAWS[name]()
-    assert instance_json(inst) == entry["instance"]
-    answer = answer_json(inst)
-    assert answer == entry["answer"]
-    value, location = Fraction(answer["value"]), Fraction(answer["location"])
-    scenario = Scenario(Fraction(w) for w in answer["witness"]["weights"])
-    assert theta(inst, location, scenario).theta - optimal_sink(inst, scenario).value == value
+    check_recorded(DRAWS[name](), entry)

@@ -125,7 +125,8 @@ def check_unit_bounds(inst: PathInstance) -> None:
         for line, profile, least, u in left_units(inst, m, cache):
             cuts = [line.lo + (line.hi - line.lo) * Fraction(t, 8) for t in range(9)]
             for p, q in zip(cuts, cuts[1:]):
-                value = pwl.max_difference_all(line, profile, (p, q))[0]
+                part = pwl.restrict(line, p, q), pwl.restrict(profile, p, q)
+                value = pwl.max_difference_all(*part)[0]
                 top = max(pwl.restrict(line, p, q).values)
                 assert value <= top - theta_min_on_edge(inst, u, least(p))[1]
 
@@ -178,18 +179,45 @@ def test_coarse_floor_is_at_most_every_own_floor(inst):
     check_coarse_floors(reflect_instance(inst))
 
 
+# an instance whose solve prunes, with both-free pairs reaching the part stage
+PRUNED = PathInstance(
+    [0, 1, 3, 4, 6, 7, 9, 10, 12],
+    [2, 1, 3, 1, 2, 3, 1, 2],
+    [0, 1, 0, 1, 0, 0, 1, 0, 1],
+    [2, 1, 1, 2, 1, 2, 3, 1, 2],
+)
+
+
+def test_each_unit_has_one_heap_entry(monkeypatch):
+    """Within one vertex's search no unit is pushed twice at one stage, so it
+    never has two live heap entries, and some unit is pushed at the part
+    stage, so the check is not vacuous; on PRUNED and on its mirror."""
+    pushed: list = []
+    original = worst_case.heappush
+
+    def counted(heap, item):
+        pushed.append(item[1:])  # (term, edge, stage)
+        original(heap, item)
+
+    monkeypatch.setattr(worst_case, "heappush", counted)
+    part_stage = 0
+    for inst in (PRUNED, reflect_instance(PRUNED)):
+        cache = SolveCache(inst)
+        for m in range(inst.vertex_count):
+            pushed.clear()
+            worst_case._left_terms(cache, m)
+            assert len(pushed) == len(set(pushed)), m
+            part_stage += sum(stage == 2 for *_, stage in pushed)
+    assert part_stage > 0
+
+
 def test_solve_prunes_profile_builds(monkeypatch):
     """A solve builds strictly fewer edge profiles than a full evaluation of
     every term requests at the vertices the solve evaluates, and no more
     edge profiles or floor vertex times than recorded with lazily refined
     bounds (10 and 24; computing every term's own floors up front made 10
     and 125), so a looser bound fails here."""
-    inst = PathInstance(
-        [0, 1, 3, 4, 6, 7, 9, 10, 12],
-        [2, 1, 3, 1, 2, 3, 1, 2],
-        [0, 1, 0, 1, 0, 0, 1, 0, 1],
-        [2, 1, 1, 2, 1, 2, 3, 1, 2],
-    )
+    inst = PRUNED
     built: list = []
     for name in ("edge_min_profile", "edge_min_profile_single"):
         original = getattr(worst_case, name)

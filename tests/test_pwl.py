@@ -285,13 +285,13 @@ def test_pointwise_operations_match_their_definitions(f0, g0, a, b, c, d):
 def test_max_difference_examples():
     f = pwl.from_points([(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))])
     one = pwl.constant(1, 0, 2)
-    value, args = pwl.max_difference_all(f, one, (0, 2))
+    value, args = pwl.max_difference_all(f, one)
     assert (value, args[0]) == (1, 2)
-    value, args = pwl.max_difference_all(f, f, (0, 2))
+    value, args = pwl.max_difference_all(f, f)
     assert (value, args[0]) == (0, 0)
     env = pwl.upper_envelope([line(0, 1), line(1, 0)], (0, 2))
     half = pwl.from_points([(Fraction(0), Fraction(0)), (Fraction(2), Fraction(1))])
-    value, args = pwl.max_difference_all(env, half, (0, 2))
+    value, args = pwl.max_difference_all(env, half)
     assert (value, args[0]) == (1, 0)
     assert args == [0, 2]
 

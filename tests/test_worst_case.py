@@ -10,6 +10,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 import evacregret
 from evacregret import (
@@ -34,7 +35,8 @@ from evacregret.worst_case import (
     left_arrival_envelope,
 )
 
-from conftest import random_instance, random_scenario, rational
+from conftest import _slice_candidates, random_instance, random_scenario, rational
+from test_mirror import DERANDOMIZED, instances
 
 
 def test_left_single_fixtures(t1):
@@ -125,6 +127,28 @@ def test_candidate_splits_include_the_envelope_crossing():
     fl = left_envelope_raw(inst, 0, 1, base, 0, 2)
     fr = right_envelope_raw(inst, 1, 0, base, 0, 2)
     assert fl(cross) == fr(alpha - cross)
+
+
+@DERANDOMIZED
+@given(instances(min_n=2))
+def test_candidate_splits_match_slice_candidates(inst):
+    """_candidate_splits equals conftest's slice candidates, written apart from
+    it, on every inner-pair term and edge of the instance and of its mirror,
+    at the ends of the free range and at every seventh of it."""
+    for side in (inst, reflect_instance(inst)):
+        cache = SolveCache(side)
+        for j in range(1, side.n):
+            for i in range(j):
+                term = worst_case._left_term(cache, worst_case.FAMILY_LEFT_PAIR_INNER, i, j)
+                box = term.box
+                for u in term.edges:
+                    fl = left_envelope_raw(side, i, u + 1, term.base, box.a1, box.a2)
+                    fr = right_envelope_raw(side, j, u, term.base, box.b1, box.b2)
+                    for t in range(8):
+                        alpha = term.lo + (term.hi - term.lo) * Fraction(t, 7)
+                        lo, hi = max(box.a1, alpha - box.b2), min(box.a2, alpha - box.b1)
+                        expected = _slice_candidates(fl, fr, alpha, lo, hi, [Fraction(0)])
+                        assert worst_case._candidate_splits(term, u, alpha) == expected
 
 
 def test_pinned_families_read_the_true_time():
