@@ -139,9 +139,6 @@ class Scenario:
             object.__setattr__(self, "_hash", cached)
         return cached
 
-    def __len__(self) -> int:
-        return len(self.weights)
-
 
 @dataclass(frozen=True)
 class Point:

@@ -2,7 +2,8 @@
 slice, with or without a transferable offset, and the vertex/edge evacuation
 profiles built from them.
 
-The two core constructions compute, as functions of the total alpha:
+The two public constructions, min_max_profile and min_max_y_profile, compute
+as functions of the total alpha, for curves nondecreasing on the box sides:
 
   min over (a1,a2) splits of alpha inside a box of max(fL(a1), fR(a2))
   min over splits and an offset y in [lo,hi] of max(fL(a1)+y, fR(a2)-y)
@@ -101,13 +102,6 @@ def _require_within(f: PwlFunction, lo: Fraction, hi: Fraction, name: str):
         )
 
 
-def _require_positive(f_left: PwlFunction, f_right: PwlFunction, box: Box, caller: str):
-    sides = ((f_left, box.a1, box.a2, "f_left"), (f_right, box.b1, box.b2, "f_right"))
-    for f, lo, hi, name in sides:
-        if lo < hi and not pwl.restrict(f, lo, hi).is_positive():
-            raise ProfileError(f"{caller} requires positive {name}")
-
-
 # Core: min over box slices of max(fL, fR) --------------------------------------
 
 
@@ -145,15 +139,17 @@ def _five_witness_profile(fl: PwlFunction, fr: PwlFunction, box: Box) -> PwlFunc
     return pwl.merge_min_to_total(witnesses, box.alpha_lo, box.alpha_hi)
 
 
-def _min_max_core(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFunction:
-    """min over slices of max(fL(a1), fR(a2)) for flat-bottomed good inputs."""
+def min_max_profile(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFunction:
+    """min over (a1,a2) in the alpha-slice of the box of max(fL(a1), fR(a2)),
+    for fL, fR nondecreasing on the box sides with any flat run one leading
+    piece: good, of size at most 5*(size_fL + size_fR) + 8, in linear time."""
     a1, a2, b1, b2 = box.a1, box.a2, box.b1, box.b2
     _require_within(f_left, a1, a2, "f_left")
     _require_within(f_right, b1, b2, "f_right")
     if a1 == a2:
         return _pinned(f_left(a1), pwl.restrict(f_right, b1, b2), a1)
     if b1 == b2:
-        return _min_max_core(f_right, f_left, Box(b1, b2, a1, a2))
+        return min_max_profile(f_right, f_left, Box(b1, b2, a1, a2))
 
     const_l, pos_l = _flat_split(pwl.restrict(f_left, a1, a2))
     const_r, pos_r = _flat_split(pwl.restrict(f_right, b1, b2))
@@ -171,16 +167,6 @@ def _min_max_core(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFun
     for c in consts:
         result = pwl.merge_max(result, pwl.constant(c, result.lo, result.hi))
     return result
-
-
-def min_max_profile(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFunction:
-    """min over (a1,a2) in the alpha-slice of the box of max(fL(a1), fR(a2)).
-
-    Inputs must be positive (strictly increasing) on the box sides; the result
-    is good, of size at most 5*(size_fL + size_fR) + 8, built in linear time.
-    """
-    _require_positive(f_left, f_right, box, "min_max_profile")
-    return _min_max_core(f_left, f_right, box)
 
 
 # Core: the offset variant ------------------------------------------------------
@@ -233,14 +219,16 @@ def _pinned_pieces(
             yield pwl.shift_arg(piece, crit)
 
 
-def _min_max_offset_core(
+def min_max_y_profile(
     f_left: PwlFunction,
     f_right: PwlFunction,
     box: Box,
-    y_lo: Fraction,
-    y_hi: Fraction,
+    y_range: tuple[RationalLike, RationalLike],
 ) -> PwlFunction:
-    """min over slices and y in [y_lo, y_hi] of max(fL(a1)+y, fR(a2)-y)."""
+    """min over slices and y in y_range of max(fL(a1)+y, fR(a2)-y), for fL, fR
+    nondecreasing on the box sides with strictly increasing slopes: good, with
+    O(size_fL + size_fR) pieces."""
+    y_lo, y_hi = to_fraction(y_range[0]), to_fraction(y_range[1])
     a1, a2, b1, b2 = box.a1, box.a2, box.b1, box.b2
     _require_within(f_left, a1, a2, "f_left")
     _require_within(f_right, b1, b2, "f_right")
@@ -264,11 +252,11 @@ def _min_max_offset_core(
         ])
     if b1 == b2:
         # y -> -y swaps the roles of the two sides
-        return _min_max_offset_core(fr, fl, Box(b1, b2, a1, a2), -y_hi, -y_lo)
+        return min_max_y_profile(fr, fl, Box(b1, b2, a1, a2), (-y_hi, -y_lo))
 
     # an offset pinned at either end, then a breakpoint of either curve pinned
     witnesses = [
-        _min_max_core(pwl.add_const(fl, y), pwl.add_const(fr, -y), box) for y in (y_lo, y_hi)
+        min_max_profile(pwl.add_const(fl, y), pwl.add_const(fr, -y), box) for y in (y_lo, y_hi)
     ]
     witnesses += _pinned_pieces(fl, fr, y_lo, y_hi)
     witnesses += _pinned_pieces(fr, fl, -y_hi, -y_lo)
@@ -276,22 +264,6 @@ def _min_max_offset_core(
     if not result.is_good():
         raise ProfileError("offset profile came out non-monotone; witness bug")
     return result
-
-
-def min_max_y_profile(
-    f_left: PwlFunction,
-    f_right: PwlFunction,
-    box: Box,
-    y_range: tuple[RationalLike, RationalLike],
-) -> PwlFunction:
-    """Offset variant: min over slices and y of max(fL(a1)+y, fR(a2)-y).
-
-    Requires positive inputs with strictly increasing slope sequences; output
-    is good with O(size_fL + size_fR) pieces.
-    """
-    y_lo, y_hi = to_fraction(y_range[0]), to_fraction(y_range[1])
-    _require_positive(f_left, f_right, box, "min_max_y_profile")
-    return _min_max_offset_core(f_left, f_right, box, y_lo, y_hi)
 
 
 # Vertex and edge evacuation profiles -------------------------------------------
@@ -307,7 +279,7 @@ def _vertex_profile_core(
     def build() -> PwlFunction:
         f_left = cached_envelope(cache, "left", vi, k, base, box.a1, box.a2)
         f_right = cached_envelope(cache, "right", vj, k, base, box.b1, box.b2)
-        return _min_max_core(f_left, f_right, box)
+        return min_max_profile(f_left, f_right, box)
 
     return cache.get(("vertex_profile", base, vi, vj, k, box), build)
 
@@ -325,7 +297,7 @@ def _edge_profile_core(
     f_right = pwl.add_const(
         cached_envelope(cache, "right", vj, k, base, box.b1, box.b2), xk
     )
-    interior = _min_max_offset_core(f_left, f_right, box, xk, xk1)
+    interior = min_max_y_profile(f_left, f_right, box, (xk, xk1))
     # a side with no weight contributes zero, not its (negative) line value
     interior = pwl.merge_max(interior, pwl.constant(0, interior.lo, interior.hi))
     return pwl.merge_min_total(pwl.merge_min_total(at_left, at_right), interior)

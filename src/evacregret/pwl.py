@@ -4,14 +4,16 @@ Functions are stored as breakpoints plus the values there, so continuity holds
 by construction.  All arithmetic is over fractions.Fraction; every operation
 documents its output-size bound.  restrict, add, merge_max, max_difference_all
 and merge_min_to_total all evaluate their inputs on one grid, `_cuts`: the
-interval ends and every input breakpoint between them.  Merges and sums return
-canonical functions (no two neighbouring pieces on one line).
+interval ends and every input breakpoint between them.  Every pointwise min
+or max of functions finds its crossings in merge_max.  Merges and sums are
+canonical (no two neighbouring pieces on one line).
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .path_model import RationalLike, to_fraction
@@ -304,22 +306,6 @@ def max_difference_all(f: PwlFunction, g: PwlFunction) -> tuple[Fraction, list[F
 # Min-merge over partial domains ------------------------------------------------
 
 
-def _lower_envelope_segment(
-    endpoint_pairs: set[tuple[Fraction, Fraction]], q1: Fraction, q2: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Lower envelope, as breakpoint/value points, of the linear segments over
-    [q1, q2] with the given (value at q1, value at q2) pairs."""
-    width = q2 - q1
-    entries = []
-    for v1, v2 in endpoint_pairs:
-        m = (v2 - v1) / width
-        entries.append((m, v1 - m * q1))
-    # negate to reuse the upper-envelope sweep (negated slopes must ascend)
-    neg = [Line(-m, -b) for m, b in sorted(entries, key=lambda t: (-t[0], t[1]))]
-    env = upper_envelope(neg, (q1, q2))
-    return [(q, -v) for q, v in zip(env.breakpoints, env.values)]
-
-
 def merge_min_to_total(
     parts: Sequence[PwlFunction], lo: RationalLike, hi: RationalLike
 ) -> PwlFunction:
@@ -327,7 +313,8 @@ def merge_min_to_total(
     must be one continuous function there.
 
     Sweeps the merged breakpoints inside [lo, hi] once; inside each elementary
-    interval the covering parts are plain lines whose lower envelope is exact.
+    interval the covering parts are plain segments, whose exact minimum is
+    their pairwise merge_min_total.
     Raises PwlError at a gap, at a jump at an interior breakpoint, or where a
     single-point part dips below both sides of an interior breakpoint.  The
     values at lo and hi are those of the adjacent interval, so a dip exactly
@@ -354,12 +341,12 @@ def merge_min_to_total(
         pairs = {(vals[t - a], vals[t + 1 - a]) for a, b, vals in walks if a <= t < b - 1}
         if not pairs:
             raise PwlError(f"min-merge leaves a gap in [{q1}, {q2}]")
-        segment = _lower_envelope_segment(pairs, q1, q2)
+        segment = reduce(merge_min_total, [PwlFunction((q1, q2), pair) for pair in pairs])
         if points:
             left = points.pop()[1]
-            if left != segment[0][1]:
-                raise PwlError(f"min-merge jumps at {q1}: {left} to {segment[0][1]}")
+            if left != segment.values[0]:
+                raise PwlError(f"min-merge jumps at {q1}: {left} to {segment.values[0]}")
             if any(p.lo == q1 and p.values[0] < left for p in singles):
                 raise PwlError(f"min-merge dips below {left} at {q1}")
-        points.extend(segment)
+        points.extend(zip(segment.breakpoints, segment.values))
     return canonical(from_points(points))

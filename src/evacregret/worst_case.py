@@ -23,9 +23,11 @@ nondecreasing, is at most A(q).  A unit's bound is refined in stages: max(A)
 less the floor under the all-lower scenario, at or below every least(lo)
 (coarse), then under least(lo) (own), then for a free both-free pair the
 largest over the equal parts [p, q] of [lo, hi] of A(q) less the floor under
-least(p) (part).  As coarse >= own >= part >= value, a unit whose bound is
-strictly below a value already found can be neither the side's maximum nor
-tied with it.  The floors do not depend on the sink and are memoized per solve.
+least(p) (part).  A single's least(lo) is the all-lower scenario, so its
+coarse bound is its own and it starts at the own stage.  As coarse >= own >=
+part >= value, a unit whose bound is strictly below a value already found can
+be neither the side's maximum nor tied with it.  The floors do not depend on
+the sink and are memoized per solve.
 
 The max regret at a sink is max(g, h, 0), where g is the left families' max
 and h the right families'.  Inside an edge each family's arrival time moves
@@ -314,9 +316,13 @@ def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
             keys += [(FAMILY_LEFT_PAIR, i, j), (FAMILY_LEFT_PAIR_INNER, i, j)]
     terms = [_left_term(cache, *key) for key in keys]
     lines = [term.arrival(x) for term in terms]
-    low = instance.lower_scenario()
-    coarse = cache.get(("coarse",), lambda: [_edge_floor(cache, low, u) for u in range(instance.n)])
-    units = [(coarse[u] - max(line.values), k, u, 0)
+
+    def coarse_floors() -> list[Fraction]:
+        low = instance.lower_scenario()
+        return [_edge_floor(cache, low, u) for u in range(instance.n)]
+
+    coarse = cache.get(("coarse",), coarse_floors)
+    units = [(coarse[u] - max(line.values), k, u, int(terms[k].family == FAMILY_LEFT_SINGLE))
              for k, line in enumerate(lines) for u in terms[k].edges]
     heapify(units)
     best: Optional[Fraction] = None
@@ -396,31 +402,31 @@ def _witness_scenarios(
 class RegretSolver:
     """Evaluates the worst-case regret at sinks and searches for its minimizer.
 
-    Holds the reflected instance so the right-side families reuse the
-    left-side evaluators, one SolveCache per side so every sink-independent
-    profile is built once per solver, and per-vertex results for the outer
-    search.  All of it is freed with the solver.
+    Holds one SolveCache per side, the right side's over the reflected
+    instance so the right-side families reuse the left-side evaluators.  They
+    build every sink-independent profile once per solver, and the left one
+    also keeps the per-vertex results for the outer search.  All of it is
+    freed with the solver.
     """
 
     def __init__(self, instance: PathInstance):
         self.instance = instance
-        self.reflected = reflect_instance(instance)
         self._cache = SolveCache(instance)
-        self._reflected_cache = SolveCache(self.reflected)
-        self._vertex_cache: dict[int, VertexRegret] = {}
+        self._reflected_cache = SolveCache(reflect_instance(instance))
 
     # -- per-vertex side maxima
 
     def vertex_regret(self, m: int) -> VertexRegret:
-        if m not in self._vertex_cache:
+        def build() -> VertexRegret:
             left = _left_terms(self._cache, m)
             mirrored = _left_terms(self._reflected_cache, self.instance.n - m)
             g = max((t.value for t in left), default=None)
             h = max((t.value for t in mirrored), default=None)
             g_terms = tuple(t for t in left if t.value == g)
             h_terms = tuple(t for t in mirrored if t.value == h)
-            self._vertex_cache[m] = VertexRegret(g, h, g_terms, h_terms)
-        return self._vertex_cache[m]
+            return VertexRegret(g, h, g_terms, h_terms)
+
+        return self._cache.get(("vertex_regret", m), build)
 
     def _replay_pick(
         self,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from evacregret import PathInstance, Scenario, theta
+from evacregret import PathInstance, RegretSolver, Scenario, theta
 from evacregret.pwl import PwlFunction
 
 
@@ -15,6 +15,21 @@ def t1() -> PathInstance:
     """The reference instance: positions [0,1,2], capacities [1,2], all weight
     intervals [0,2]."""
     return PathInstance([0, 1, 2], [1, 2], [0, 0, 0], [2, 2, 2])
+
+
+@pytest.fixture
+def evaluated_vertices(monkeypatch) -> set[int]:
+    """The vertices any RegretSolver's vertex_regret is asked for during the
+    test, whether its result is memoized or not."""
+    evaluated: set[int] = set()
+    original = RegretSolver.vertex_regret
+
+    def spied(self, m):
+        evaluated.add(m)
+        return original(self, m)
+
+    monkeypatch.setattr(RegretSolver, "vertex_regret", spied)
+    return evaluated
 
 
 def rational(rng: random.Random, lo, hi, denom: int = 8) -> Fraction:

@@ -58,9 +58,51 @@ def test_min_max_profile_degenerate_box():
         assert m(alpha) == max(f(Fraction(1, 2)), g(alpha - Fraction(1, 2)))
 
 
-def test_min_max_profile_requires_positive():
-    with pytest.raises(ProfileError):
-        min_max_profile(pwl.constant(1, 0, 1), aff([(0, 0), (1, 1)]), Box(0, 1, 0, 1))
+def flat_bottomed(rng: random.Random, f: pwl.PwlFunction) -> pwl.PwlFunction:
+    """max(c, f) for a level c drawn from below f's range to above it, so the
+    result is f itself, f with a flat leading piece, or a constant."""
+    c = rational(rng, f.values[0] - 1, f.values[-1] + 1, 8)
+    return pwl.merge_max(f, pwl.constant(c, f.lo, f.hi))
+
+
+def test_min_max_profile_flat_bottomed_exact():
+    """Flat leading pieces, as the solver's envelopes have, on either side."""
+    rng = random.Random(239)
+    box = Box(0, 3, 0, 2)
+    for _ in range(60):
+        fl = flat_bottomed(rng, random_positive_pwl(rng, 0, 3))
+        fr = flat_bottomed(rng, random_positive_pwl(rng, 0, 2))
+        m = min_max_profile(fl, fr, box)
+        assert m.is_good()
+        for _ in range(8):
+            alpha = rational(rng, box.alpha_lo, box.alpha_hi, 32)
+            assert m(alpha) == grid_min_max_split(fl, fr, box, alpha)
+
+
+def test_min_max_y_profile_flat_bottomed_exact():
+    """max(c, convex) is still convex, so the offset variant takes it."""
+    rng = random.Random(241)
+    box = Box(0, 2, 0, 2)
+    for _ in range(40):
+        fl = flat_bottomed(rng, random_convex_pwl(rng, 0, 2))
+        fr = flat_bottomed(rng, random_convex_pwl(rng, 0, 2))
+        y_lo = rational(rng, -1, 1, 4)
+        y_hi = y_lo + rational(rng, 0, 2, 4)
+        m = min_max_y_profile(fl, fr, box, (y_lo, y_hi))
+        assert m.is_good()
+        for _ in range(6):
+            alpha = rational(rng, box.alpha_lo, box.alpha_hi, 32)
+            assert m(alpha) == grid_min_max_offset(fl, fr, box, (y_lo, y_hi), alpha)
+
+
+def test_min_max_profiles_refuse_malformed_inputs():
+    rising = aff([(0, 0), (1, 1)])
+    late_flat = aff([(0, 0), (1, 1), (2, 1)])
+    with pytest.raises(ProfileError, match="flat-bottomed"):
+        min_max_profile(late_flat, rising, Box(0, 2, 0, 1))
+    falling = aff([(0, 1), (1, 0)])
+    with pytest.raises(ProfileError, match="nondecreasing"):
+        min_max_y_profile(rising, falling, Box(0, 1, 0, 1), (0, 1))
 
 
 def test_min_max_profile_random_exact():

@@ -211,7 +211,7 @@ def test_each_unit_has_one_heap_entry(monkeypatch):
     assert part_stage > 0
 
 
-def test_solve_prunes_profile_builds(monkeypatch):
+def test_solve_prunes_profile_builds(monkeypatch, evaluated_vertices):
     """A solve builds strictly fewer edge profiles than a full evaluation of
     every term requests at the vertices the solve evaluates, and no more
     edge profiles or floor vertex times than recorded with lazily refined
@@ -235,10 +235,9 @@ def test_solve_prunes_profile_builds(monkeypatch):
         return original_times(*args)
 
     monkeypatch.setattr(worst_case, "_vertex_times", counted_times)
-    solver = RegretSolver(inst)
-    solver.min_max_regret()
+    RegretSolver(inst).min_max_regret()
     pruned = len(built)
-    vertices = sorted(solver._vertex_cache)
+    vertices = sorted(evaluated_vertices)
     assert len(vertices) > 2
     assert pruned <= 10 and len(vertex_times) <= 24, (pruned, len(vertex_times))
 

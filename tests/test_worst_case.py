@@ -324,7 +324,7 @@ def test_solver_frees_its_instance():
     assert ref() is None
 
 
-def test_solve_builds_each_edge_profile_once(monkeypatch):
+def test_solve_builds_each_edge_profile_once(monkeypatch, evaluated_vertices):
     """Across the vertices one solve evaluates, every edge profile the family
     evaluators request, pinned (lo == hi) ones included, is built once.  The
     end weights are pinned at [2, 2] so that pinned terms survive pruning."""
@@ -340,9 +340,8 @@ def test_solve_builds_each_edge_profile_once(monkeypatch):
             return _original(instance, *args, **kwargs)
 
         monkeypatch.setattr(worst_case, name, counted)
-    solver = RegretSolver(inst)
-    solver.min_max_regret()
-    assert len(solver._vertex_cache) > 2
+    RegretSolver(inst).min_max_regret()
+    assert len(evaluated_vertices) > 2
     single = calls["edge_min_profile_single"]
     assert calls["edge_min_profile"] and any(lo == hi for *_, (lo, hi) in single)
     for seen in calls.values():
