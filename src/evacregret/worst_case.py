@@ -24,10 +24,14 @@ less the floor under the all-lower scenario, at or below every least(lo)
 (coarse), then under least(lo) (own), then for a free both-free pair the
 largest over the equal parts [p, q] of [lo, hi] of A(q) less the floor under
 least(p) (part).  A single's least(lo) is the all-lower scenario, so its
-coarse bound is its own and it starts at the own stage.  As coarse >= own >=
-part >= value, a unit whose bound is strictly below a value already found can
-be neither the side's maximum nor tied with it.  The floors do not depend on
-the sink and are memoized per solve.
+coarse bound is its own and it starts at the own stage.  Before any of that,
+each term has one bound at or above all of its units' coarse bounds, from
+per-vertex prefix passes in O(1) a term (_term_bounds), and the term, its A
+and its units are built only once that bound is reached.  As term >= coarse
+>= own >= part >= value, a unit whose bound is strictly below a value
+already found can be neither the side's maximum nor tied with it, nor can a
+term whose bound is.  The floors do not depend on the sink and are memoized
+per solve.
 
 The max regret at a sink is max(g, h, 0), where g is the left families' max
 and h the right families'.  Inside an edge each family's arrival time moves
@@ -41,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
+from operator import sub
 from typing import Optional, Union
 
 from . import pwl
@@ -299,45 +305,92 @@ def eval_left_pair_inner(
     return _eval_left(instance, FAMILY_LEFT_PAIR_INNER, i, j, x, cache)
 
 
+def _coarse_floors(cache: SolveCache) -> list[Fraction]:
+    """The least time over each edge under the all-lower scenario, once per cache."""
+
+    def build() -> list[Fraction]:
+        low = cache.instance.lower_scenario()
+        return [_edge_floor(cache, low, u) for u in range(cache.instance.n)]
+
+    return cache.get(("coarse",), build)
+
+
+def _term_bounds(cache: SolveCache, m: int) -> list[tuple[tuple, Fraction]]:
+    """Every left family term at vertex x_m of the cache's instance, as its
+    `_left_term` key, in family order, with a bound at or above each of its
+    units' coarse bounds, from O(m) prefix passes and O(1) work per term.
+
+    With cap_t the least capacity over edges t..m-1, a_t = (x_m - x_t) +
+    L(0..t)/cap_t (L the all-lower prefix weight) and D(i, j) the summed
+    widths of the intervals at i..j, max(A) is a_j + D(j, j)/cap_j for a
+    single and a_j + D(i, j)/cap_j for a pair (at most that on a pinned
+    range, where A is the zero-aware true time), and at most
+    max_{j <= t < m} a_t + D(i, j)/cap_j for an inner pair, as cap_j <= cap_t.
+    Less the least coarse floor over the term's edges, that bounds each unit."""
+    inst, x = cache.instance, cache.instance.positions[m]
+    low, width = cache.get(("prefixes",), lambda: tuple(
+        tuple(accumulate(w, initial=Fraction(0)))
+        for w in (inst.weight_lo, map(sub, inst.weight_hi, inst.weight_lo))
+    ))
+    coarse = _coarse_floors(cache)
+    caps = list(accumulate(inst.capacities[:m][::-1], min))[::-1]
+    arrive = [x - inst.positions[t] + low[t + 1] / cap for t, cap in enumerate(caps)]
+    top = list(accumulate(arrive[::-1], max))[::-1]  # max_{j <= t < m} a_t
+    tail = list(accumulate(coarse[::-1], min))[::-1]  # least over edges j..n-1
+    out = [((FAMILY_LEFT_SINGLE, None, j), a + (width[j + 1] - width[j]) / cap - least)
+           for j, (a, cap, least) in enumerate(zip(arrive, caps, tail))]
+    for j in range(1, m):
+        span = list(accumulate(coarse[:j][::-1], min))[::-1]  # least over edges i..j-1
+        for i in range(j):
+            d = (width[j + 1] - width[i]) / caps[j]
+            out += [((FAMILY_LEFT_PAIR, i, j), arrive[j] + d - tail[j]),
+                    ((FAMILY_LEFT_PAIR_INNER, i, j), top[j] + d - span[i])]
+    return out
+
+
 def _left_terms(cache: SolveCache, m: int) -> list[_Term]:
     """The left-side family terms at vertex x_m of the cache's instance that
     can reach the side's maximum, in family order; every other term is pruned.
 
-    Units are popped from a heap by descending bound, then by term and edge,
-    until a bound falls strictly below the best value found.  A unit's one
-    heap entry is pushed back with the next stage's bound (see the module
-    docstring) until its last stage, when the unit is evaluated.  So every
-    unit attaining the side maximum is evaluated, and a term keeps its best
-    evaluated unit, first edge on ties: the maximum and its ties are exact."""
-    instance, x = cache.instance, cache.instance.positions[m]
-    keys = [(FAMILY_LEFT_SINGLE, None, j) for j in range(m)]
-    for j in range(1, m):
-        for i in range(j):
-            keys += [(FAMILY_LEFT_PAIR, i, j), (FAMILY_LEFT_PAIR_INNER, i, j)]
-    terms = [_left_term(cache, *key) for key in keys]
-    lines = [term.arrival(x) for term in terms]
-
-    def coarse_floors() -> list[Fraction]:
-        low = instance.lower_scenario()
-        return [_edge_floor(cache, low, u) for u in range(instance.n)]
-
-    coarse = cache.get(("coarse",), coarse_floors)
-    units = [(coarse[u] - max(line.values), k, u, int(terms[k].family == FAMILY_LEFT_SINGLE))
-             for k, line in enumerate(lines) for u in terms[k].edges]
-    heapify(units)
+    Entries are popped from a heap by descending bound, then by term and
+    edge, until a bound falls strictly below the best value found.  Each term
+    first has one entry with its O(1) bound (_term_bounds); only when that is
+    popped are the term, its arrival A and its units built, each unit pushed
+    with its coarse bound, at or below the term's.  A unit's one heap entry
+    is pushed back with the next stage's bound (see the module docstring)
+    until its last stage, when the unit is evaluated.  So every unit
+    attaining the side maximum is evaluated, and a term keeps its best
+    evaluated unit, first edge on ties: the maximum and its ties are exact.
+    A term's index is its position in family order, which fixes the order of
+    the tied terms and so the witness."""
+    x = cache.instance.positions[m]
+    bounds = _term_bounds(cache, m)
+    heap = [(-bound, k, -1, -1) for k, (_, bound) in enumerate(bounds)]
+    heapify(heap)
+    coarse = _coarse_floors(cache)
+    built: dict[int, tuple[_LeftTerm, PwlFunction, Fraction]] = {}
     best: Optional[Fraction] = None
     kept: dict[int, _Term] = {}
-    while units:
-        negative_bound, k, u, stage = heappop(units)
+    while heap:
+        negative_bound, k, u, stage = heappop(heap)
         if best is not None and -negative_bound < best:
             break
-        term, line = terms[k], lines[k]
+        if stage < 0:
+            term = _left_term(cache, *bounds[k][0])
+            line = term.arrival(x)
+            peak = max(line.values)
+            built[k] = term, line, peak
+            first = int(term.family == FAMILY_LEFT_SINGLE)
+            for u in term.edges:
+                heappush(heap, (coarse[u] - peak, k, u, first))
+            continue
+        term, line, peak = built[k]
         if stage == 0:
-            heappush(units, (term.floor(u, term.lo) - max(line.values), k, u, 1))
+            heappush(heap, (term.floor(u, term.lo) - peak, k, u, 1))
         elif stage == 1 and term.box is not None and term.lo < term.hi:
             cuts = [term.lo + (term.hi - term.lo) * Fraction(t, _PARTS) for t in range(_PARTS + 1)]
             parts = (term.floor(u, p) - line(q) for p, q in zip(cuts, cuts[1:]))
-            heappush(units, (min(parts), k, u, 2))
+            heappush(heap, (min(parts), k, u, 2))
         else:
             unit, held = term.unit(line, u), kept.get(k)
             if held is None or (unit.value, -u) > (held.value, -held.edge):

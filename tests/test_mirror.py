@@ -1,14 +1,14 @@
 """Properties on generated small instances, including the degenerate ones:
 zero-width intervals, zero lower bounds, all-zero weights and one capacity
-on every edge.  The solver
-derives the right side of the path from the left by reflection; these
-properties check that the solver on the mirror image gives mirrored answers,
-that a single-varying profile matches the closed form on either side of its
-edge, that scaling lengths and weights by c scales every regret by c, that
-widening an interval never lowers a max regret, that a max regret is never
-negative and its witness replays to it, that the grid oracle falls below it
-by at most 2h/c_min, and that the minmax search returns the leftmost minimum
-over every vertex and edge."""
+on every edge, and wide intervals whose lower bounds are off the quarter
+grid.  The solver derives the right side of the path from the left by
+reflection; these properties check that the solver on the mirror image gives
+mirrored answers, that a single-varying profile matches the closed form on
+either side of its edge, that scaling lengths and weights by c scales every
+regret by c, that widening an interval never lowers a max regret, that a max
+regret is never negative and its witness replays to it, that the grid oracle
+falls below it by at most 2h/c_min, and that the minmax search returns the
+leftmost minimum over every vertex and edge."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -41,13 +41,19 @@ def instances(draw, min_n: int = 0) -> PathInstance:
     weight_lo, weight_hi = [], []
     for _ in range(n + 1):
         lo, hi = sorted((draw(WEIGHTS), draw(WEIGHTS)))
-        kind = draw(st.sampled_from(["free", "zero_lower", "pinned"]))
+        # a wide interval makes the full evaluations costly: half the others' rate
+        kind = draw(st.sampled_from(["free", "zero_lower", "pinned"] * 2 + ["wide"]))
         if all_zero:
             lo = hi = Fraction(0)
         elif kind == "zero_lower":
             lo = Fraction(0)
         elif kind == "pinned":
             hi = lo
+        elif kind == "wide":
+            # off the quarter grid and several units wide: the all-lower
+            # scenario is far below the term's, so the coarse bound is loose
+            lo = Fraction(draw(st.sampled_from([1, 2, 4, 5])), 3)
+            hi = lo + draw(st.integers(2, 4))
         weight_lo.append(lo)
         weight_hi.append(hi)
     return PathInstance(positions, capacities, weight_lo, weight_hi)

@@ -1,18 +1,23 @@
 """The branch-and-bound over the family terms is exact.
 
 `RegretSolver.vertex_regret` evaluates only the units (a term and one
-subtrahend edge u) whose bound can reach the side's maximum.  It refines a
-unit's bound in stages: max(A) minus the least time over edge u under the
+subtrahend edge u) whose bound can reach the side's maximum.  Each term first
+has one bound, from prefix sums along the path, at or above max(A) less the
+least coarse floor over its edges; only when that bound is popped are the
+term, its arrival A and its units built.  The search then refines a unit's
+bound in stages: max(A) minus the least time over edge u under the
 all-lower scenario (the coarse floor), then minus the least time under
 least(lo), the least weights of the term's scenarios (its own floor), then,
 for a free both-free pair, on each quarter [p, q] of the free weight range,
 A(q) minus the least time under least(p).  These tests compare the solver
 with a full evaluation of every term through the public evaluators; check
-that the coarse floor is at most every term's own floor; check, on every unit
-and every eighth [p, q] of its free weight range (which covers the quarters),
-the max of A there minus the least time over edge u under least(p); check the
-coarser max(A) - OPT(s_lo) on every term; and check that a solve really
-prunes, with no more work than a recorded count."""
+every term's bound against its A and the coarse floors, and that it is exact
+for a single or pair with a free range; check that the coarse floor is at
+most every term's own floor; check, on every unit and every eighth [p, q] of
+its free weight range (which covers the quarters), the max of A there minus
+the least time over edge u under least(p); check the coarser
+max(A) - OPT(s_lo) on every term; and check that a solve really prunes and
+builds terms lazily, with no more work than recorded counts."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -35,26 +40,40 @@ from evacregret.worst_case import (
 
 from test_mirror import DERANDOMIZED, instances
 
+SINGLE, PAIR, INNER = (
+    worst_case.FAMILY_LEFT_SINGLE, worst_case.FAMILY_LEFT_PAIR, worst_case.FAMILY_LEFT_PAIR_INNER
+)
 
-def full_left_terms(inst: PathInstance, m: int, cache: SolveCache) -> list:
-    """(term, A, s_lo) for every left family term at x_m, in family order."""
+
+def family_terms(inst: PathInstance, m: int):
+    """((family, i, j), A, least(lo), edges) for every left family term at
+    x_m, in family order: its arrival line or envelope, its least scenario
+    and its subtrahend's edges, each built here from the family definitions."""
     x = inst.positions[m]
     lo, hi = inst.weight_lo, inst.weight_hi
-    out = []
     for j in range(m):
         base = two_varying(inst, j, j, 0, 0)
         line = arrival_envelope(inst, j, j, x, base, lo[j], hi[j])
-        s_lo = substitute(base, j, lo[j])
-        out.append((eval_left_single(inst, j, x, cache=cache), line, s_lo))
+        yield (SINGLE, None, j), line, substitute(base, j, lo[j]), range(j, inst.n)
     for j in range(1, m):
         for i in range(j):
             base = two_varying(inst, i, j, 0, hi[j])
             line = arrival_envelope(inst, j, j, x, base, lo[i], hi[i])
-            s_lo = two_varying(inst, i, j, lo[i], hi[j])
-            out.append((eval_left_pair(inst, i, j, x, cache=cache), line, s_lo))
+            yield (PAIR, i, j), line, two_varying(inst, i, j, lo[i], hi[j]), range(j, inst.n)
             envelope = left_arrival_envelope(inst, i, j, x)
-            s_lo = two_varying(inst, i, j, lo[i], lo[j])
-            out.append((eval_left_pair_inner(inst, i, j, x, cache=cache), envelope, s_lo))
+            yield (INNER, i, j), envelope, two_varying(inst, i, j, lo[i], lo[j]), range(i, j)
+
+
+EVALUATORS = {SINGLE: eval_left_single, PAIR: eval_left_pair, INNER: eval_left_pair_inner}
+
+
+def full_left_terms(inst: PathInstance, m: int, cache: SolveCache) -> list:
+    """(term, A, s_lo) for every left family term at x_m, in family order."""
+    x = inst.positions[m]
+    out = []
+    for (family, i, j), line, s_lo, _ in family_terms(inst, m):
+        indices = (j,) if i is None else (i, j)
+        out.append((EVALUATORS[family](inst, *indices, x, cache=cache), line, s_lo))
     return out
 
 
@@ -140,28 +159,13 @@ def test_unit_bound_holds_on_every_part(inst):
     check_unit_bounds(reflect_instance(inst))
 
 
-def own_floor_scenarios(inst: PathInstance):
-    """(family, i, j, least(lo), edges) for every left family term of inst,
-    built here from the family definitions."""
-    lo, hi = inst.weight_lo, inst.weight_hi
-    for j in range(inst.n):
-        s_lo = substitute(two_varying(inst, j, j, 0, 0), j, lo[j])
-        yield worst_case.FAMILY_LEFT_SINGLE, None, j, s_lo, range(j, inst.n)
-    for j in range(1, inst.n):
-        for i in range(j):
-            s_lo = two_varying(inst, i, j, lo[i], hi[j])
-            yield worst_case.FAMILY_LEFT_PAIR, i, j, s_lo, range(j, inst.n)
-            s_lo = two_varying(inst, i, j, lo[i], lo[j])
-            yield worst_case.FAMILY_LEFT_PAIR_INNER, i, j, s_lo, range(i, j)
-
-
 def check_coarse_floors(inst: PathInstance) -> None:
     """The solver's own floor of each term on each of its edges is the least
     time over the edge under least(lo), and the coarse floor under the
     all-lower scenario is at most it."""
     cache = SolveCache(inst)
     lower = inst.lower_scenario()
-    for family, i, j, s_lo, edges in own_floor_scenarios(inst):
+    for (family, i, j), _, s_lo, edges in family_terms(inst, inst.n):
         term = worst_case._left_term(cache, family, i, j)
         assert term.edges == edges
         for u in edges:
@@ -177,6 +181,34 @@ def test_coarse_floor_is_at_most_every_own_floor(inst):
     the instance and on its mirror."""
     check_coarse_floors(inst)
     check_coarse_floors(reflect_instance(inst))
+
+
+def check_term_bounds(inst: PathInstance) -> None:
+    """At every vertex, each term's bound is at least max(A) less the least
+    coarse floor over its edges, so at least each of its units' coarse
+    bounds, and equal to it for a single or pair whose free range is not
+    pinned; the terms come in family order, which the search relies on."""
+    cache = SolveCache(inst)
+    lower = inst.lower_scenario()
+    coarse = [theta_min_on_edge(inst, u, lower)[1] for u in range(inst.n)]
+    for m in range(inst.vertex_count):
+        terms = list(family_terms(inst, m))
+        bounds = worst_case._term_bounds(cache, m)
+        assert [key for key, _ in bounds] == [key for key, *_ in terms]
+        for (key, bound), (_, line, _, edges) in zip(bounds, terms):
+            value = max(line.values) - min(coarse[u] for u in edges)
+            assert bound >= value, (m, key)
+            if key[0] != INNER and line.lo < line.hi:
+                assert bound == value, (m, key)
+
+
+@DERANDOMIZED
+@given(instances())
+def test_term_bound_holds_on_every_term(inst):
+    """The bound a term's one heap entry carries before anything of it is
+    built, on the instance and on its mirror."""
+    check_term_bounds(inst)
+    check_term_bounds(reflect_instance(inst))
 
 
 # an instance whose solve prunes, with both-free pairs reaching the part stage
@@ -248,3 +280,25 @@ def test_solve_prunes_profile_builds(monkeypatch, evaluated_vertices):
             full_left_terms(side, m if side is inst else inst.n - m, cache)
     full = len(built)
     assert 0 < pruned < full, (pruned, full)
+
+
+def test_solve_builds_terms_lazily(monkeypatch):
+    """A solve builds a term, and its arrival at a vertex, only when the
+    term's bound is popped: no more `_LeftTerm`s and arrivals than recorded
+    on PRUNED (5 and 15; building every term at each evaluated vertex made
+    52 and 106), so building every term again fails here."""
+    built, arrivals = [], []
+    init, arrival = worst_case._LeftTerm.__init__, worst_case._LeftTerm.arrival
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_arrival(self, x):
+        arrivals.append((self.family, self.i, self.j, x))
+        return arrival(self, x)
+
+    monkeypatch.setattr(worst_case._LeftTerm, "__init__", counted_init)
+    monkeypatch.setattr(worst_case._LeftTerm, "arrival", counted_arrival)
+    RegretSolver(PRUNED).min_max_regret()
+    assert 0 < len(built) <= 5 and len(arrivals) <= 15, (len(built), len(arrivals))
