@@ -319,6 +319,12 @@ def _load_json(text: str, kind: str):
         raise PathModelError(f"malformed {kind} document: nested too deeply") from exc
 
 
+def _array(data: dict, key: str) -> list:
+    if isinstance(data[key], list):
+        return data[key]  # a string or an object would be read item by item
+    raise TypeError(f"{key!r} is not an array")
+
+
 def parse_instance(data: Union[str, dict]) -> PathInstance:
     """Parse the JSON instance format.
 
@@ -329,8 +335,8 @@ def parse_instance(data: Union[str, dict]) -> PathInstance:
     if isinstance(data, str):
         data = _load_json(data, "instance")
     try:
-        vertices = data["vertices"]
-        capacities = [to_fraction(c) for c in data["capacities"]]
+        vertices = _array(data, "vertices")
+        capacities = [to_fraction(c) for c in _array(data, "capacities")]
         weight_lo = [to_fraction(v["w_min"]) for v in vertices]
         weight_hi = [to_fraction(v["w_max"]) for v in vertices]
         placed = ["position" in v for v in vertices]
@@ -339,7 +345,7 @@ def parse_instance(data: Union[str, dict]) -> PathInstance:
         if all(placed):
             positions = [to_fraction(v["position"]) for v in vertices]
         elif "edge_lengths" in data:
-            lengths = [to_fraction(d) for d in data["edge_lengths"]]
+            lengths = [to_fraction(d) for d in _array(data, "edge_lengths")]
             positions = list(accumulate(lengths, initial=Fraction(0)))
         else:
             raise PathModelError("vertices lack positions and no edge_lengths given")
@@ -352,6 +358,6 @@ def parse_scenario(data: Union[str, dict]) -> Scenario:
     if isinstance(data, str):
         data = _load_json(data, "scenario")
     try:
-        return Scenario([to_fraction(w) for w in data["weights"]])
+        return Scenario([to_fraction(w) for w in _array(data, "weights")])
     except (KeyError, TypeError) as exc:
         raise PathModelError(f"malformed scenario document: {exc}") from exc

@@ -8,24 +8,24 @@ as functions of the total alpha, for curves nondecreasing on the box sides:
   min over (a1,a2) splits of alpha inside a box of max(fL(a1), fR(a2))
   min over splits and an offset y in [lo,hi] of max(fL(a1)+y, fR(a2)-y)
 
-Each is assembled as the min-merge of a small set of witness functions, one
-per structural condition a minimizer can satisfy (a pinned box coordinate, a
-balanced crossing, a pinned offset endpoint, or a breakpoint of one curve
-matched against slope-bracketed pieces of the other).  Every witness is the
-value of some feasible choice, hence an upper bound pointwise, and at least
-one witness is tight at every alpha, so the min-merge is exact.  All outputs
-are good functions of size O(n).  A pinned coordinate's witness, `_pinned`,
-is also the whole profile of a box with a one-point side.  The offset variant
-is symmetric under y -> -y with the sides swapped, so the pieces that pin a
-breakpoint of the right curve are the left rule, `_pinned_pieces`, applied to
-(fR, fL) over (-y_hi, -y_lo).
+Each is the min-merge of witness functions, one per structural condition a
+minimizer can satisfy (a pinned box coordinate, a balanced crossing, a pinned
+offset endpoint, or a breakpoint of one curve matched against slope-bracketed
+pieces of the other).  Every witness is the value of some feasible choice,
+hence an upper bound pointwise, and one is tight at every alpha, so the
+min-merge is exact; all outputs are good, of size O(n).  `_pinned`, a pinned
+coordinate's witness, is also the whole profile of a box with a one-point
+side.  The offset variant is symmetric under y -> -y with the sides swapped:
+the pieces pinning a breakpoint of the right curve are the left rule,
+`_pinned_pieces`, on (fR, fL) over (-y_hi, -y_lo), and a one-point side needs
+no branch of its own.  An edge profile is one min-merge of its two vertex
+profiles and the offset variant's balanced pieces, `_balanced_pieces`.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterator, Optional
 
 from . import pwl
@@ -199,17 +199,17 @@ def _pinned_pieces(
     """Witness pieces for minimizers that pin the anchor's argument at one of
     its breakpoints, crit, where it reads v: (v + moving)/2, shifted by crit,
     wherever the balanced offset (moving - v)/2 lies in [y_lo, y_hi].  At
-    either end of the anchor's domain the whole moving curve may balance it;
-    at an interior breakpoint only the run of moving pieces whose slopes lie
-    between the two anchor slopes meeting there."""
+    either end of the anchor's domain the whole moving curve, even one point,
+    may balance it; at an interior breakpoint only the run of moving pieces
+    whose slopes lie between the two anchor slopes meeting there, if any."""
     slopes_a, slopes_m = anchor.slopes(), moving.slopes()
     for k, (crit, v) in enumerate(zip(anchor.breakpoints, anchor.values)):
         first, stop = 0, moving.size
         if 0 < k < anchor.size:
             first = bisect_left(slopes_m, slopes_a[k - 1])
             stop = bisect_right(slopes_m, slopes_a[k])
-        if first >= stop:
-            continue  # no moving slope lies between the two anchor slopes
+            if first >= stop:
+                continue  # no moving slope lies between the two anchor slopes
         window = _preimage_interval(moving, v + 2 * y_lo, v + 2 * y_hi)
         if window is None:
             continue
@@ -217,6 +217,26 @@ def _pinned_pieces(
         if lo <= hi:
             piece = pwl.scale(pwl.add_const(pwl.restrict(moving, lo, hi), v), Fraction(1, 2))
             yield pwl.shift_arg(piece, crit)
+
+
+def _balanced_pieces(
+    f_left: PwlFunction, f_right: PwlFunction, box: Box, y_lo: Fraction, y_hi: Fraction
+) -> list[PwlFunction]:
+    """The offset variant's witness pieces that pin a breakpoint of either
+    curve at an offset balancing the two, after checking its preconditions."""
+    _require_within(f_left, box.a1, box.a2, "f_left")
+    _require_within(f_right, box.b1, box.b2, "f_right")
+    if y_lo > y_hi:
+        raise ProfileError("offset range is empty")
+    fl = pwl.canonical(pwl.restrict(f_left, box.a1, box.a2))
+    fr = pwl.canonical(pwl.restrict(f_right, box.b1, box.b2))
+    for f, name in ((fl, "f_left"), (fr, "f_right")):
+        slopes = f.slopes()
+        if any(m < 0 for m in slopes):
+            raise ProfileError(f"{name} must be nondecreasing")
+        if any(m2 <= m1 for m1, m2 in zip(slopes, slopes[1:])):
+            raise ProfileError(f"{name} slope sequence must be strictly increasing")
+    return [*_pinned_pieces(fl, fr, y_lo, y_hi), *_pinned_pieces(fr, fl, -y_hi, -y_lo)]
 
 
 def min_max_y_profile(
@@ -229,37 +249,9 @@ def min_max_y_profile(
     nondecreasing on the box sides with strictly increasing slopes: good, with
     O(size_fL + size_fR) pieces."""
     y_lo, y_hi = to_fraction(y_range[0]), to_fraction(y_range[1])
-    a1, a2, b1, b2 = box.a1, box.a2, box.b1, box.b2
-    _require_within(f_left, a1, a2, "f_left")
-    _require_within(f_right, b1, b2, "f_right")
-    if y_lo > y_hi:
-        raise ProfileError("offset range is empty")
-    fl = pwl.canonical(pwl.restrict(f_left, a1, a2))
-    fr = pwl.canonical(pwl.restrict(f_right, b1, b2))
-    for f, name in ((fl, "f_left"), (fr, "f_right")):
-        slopes = f.slopes()
-        if any(m < 0 for m in slopes):
-            raise ProfileError(f"{name} must be nondecreasing")
-        if any(m2 <= m1 for m1, m2 in zip(slopes, slopes[1:])):
-            raise ProfileError(f"{name} slope sequence must be strictly increasing")
-
-    if a1 == a2:
-        moved = pwl.shift_arg(fr, a1)
-        return reduce(pwl.merge_max, [
-            pwl.constant(fl(a1) + y_lo, moved.lo, moved.hi),
-            pwl.scale(pwl.add_const(moved, fl(a1)), Fraction(1, 2)),
-            pwl.add_const(moved, -y_hi),
-        ])
-    if b1 == b2:
-        # y -> -y swaps the roles of the two sides
-        return min_max_y_profile(fr, fl, Box(b1, b2, a1, a2), (-y_hi, -y_lo))
-
-    # an offset pinned at either end, then a breakpoint of either curve pinned
-    witnesses = [
-        min_max_profile(pwl.add_const(fl, y), pwl.add_const(fr, -y), box) for y in (y_lo, y_hi)
-    ]
-    witnesses += _pinned_pieces(fl, fr, y_lo, y_hi)
-    witnesses += _pinned_pieces(fr, fl, -y_hi, -y_lo)
+    witnesses = _balanced_pieces(f_left, f_right, box, y_lo, y_hi)
+    for y in (y_lo, y_hi):
+        witnesses.append(min_max_profile(pwl.add_const(f_left, y), pwl.add_const(f_right, -y), box))
     result = pwl.merge_min_to_total(witnesses, box.alpha_lo, box.alpha_hi)
     if not result.is_good():
         raise ProfileError("offset profile came out non-monotone; witness bug")
@@ -287,20 +279,21 @@ def _vertex_profile_core(
 def _edge_profile_core(
     base: Scenario, vi: int, vj: int, k: int, box: Box, cache: SolveCache
 ) -> PwlFunction:
-    at_left = _vertex_profile_core(base, vi, vj, k, box, cache)
-    at_right = _vertex_profile_core(base, vi, vj, k + 1, box, cache)
-    xk = cache.instance.positions[k]
-    xk1 = cache.instance.positions[k + 1]
-    f_left = pwl.add_const(
-        cached_envelope(cache, "left", vi, k + 1, base, box.a1, box.a2), -xk1
-    )
-    f_right = pwl.add_const(
-        cached_envelope(cache, "right", vj, k, base, box.b1, box.b2), xk
-    )
-    interior = min_max_y_profile(f_left, f_right, box, (xk, xk1))
-    # a side with no weight contributes zero, not its (negative) line value
-    interior = pwl.merge_max(interior, pwl.constant(0, interior.lo, interior.hi))
-    return pwl.merge_min_total(pwl.merge_min_total(at_left, at_right), interior)
+    """The least time over sinks y on [x_k, x_{k+1}]: one min-merge of the two
+    vertex profiles and the offset variant's balanced pieces, floored at 0 (a
+    side with no weight contributes zero).  Its other witnesses, the offset
+    clipped at x_k or x_{k+1}, are never below the vertex profile there: at
+    y = x_k the left curve, the left envelope at x_{k+1} less the edge length,
+    is line by line at or above the left envelope at x_k (each bottleneck
+    capacity can only fall, and v_k adds a line), and the right curve is the
+    right envelope at x_k itself; by reflection, the same holds at x_{k+1}."""
+    xk, xk1 = cache.instance.positions[k : k + 2]
+    f_left = pwl.add_const(cached_envelope(cache, "left", vi, k + 1, base, box.a1, box.a2), -xk1)
+    f_right = pwl.add_const(cached_envelope(cache, "right", vj, k, base, box.b1, box.b2), xk)
+    parts = [_vertex_profile_core(base, vi, vj, t, box, cache) for t in (k, k + 1)]
+    parts += _balanced_pieces(f_left, f_right, box, xk, xk1)
+    least = pwl.merge_min_to_total(parts, box.alpha_lo, box.alpha_hi)
+    return pwl.merge_max(least, pwl.constant(0, least.lo, least.hi))
 
 
 def vertex_min_profile(

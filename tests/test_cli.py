@@ -50,6 +50,11 @@ def test_validate_bad(tmp_path, capsys):
         ({"vertices": two, "edge_lengths": ["1"], "capacities": ["1"]}, "not both"),
         ({"vertices": [two[0], unplaced[1]], "edge_lengths": ["1"], "capacities": ["1"]},
          "not both"),
+        # a string or an object where an array belongs is not read item by item
+        ({"vertices": two, "capacities": "1"}, "malformed instance document"),
+        ({"vertices": two, "capacities": {"1": 0}}, "malformed instance document"),
+        ({"vertices": unplaced, "edge_lengths": "1", "capacities": ["1"]}, "'edge_lengths'"),
+        ({"vertices": {"0": two[0]}, "capacities": ["1"]}, "'vertices' is not an array"),
     ):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -306,6 +311,8 @@ def test_bad_scenario_file_rejected(t1_file, tmp_path, capsys):
         (["1", "0"], "scenario length does not match instance"),
         (["1", "-1", "1"], "scenario weights must be nonnegative"),
         (5, "malformed scenario document"),
+        ("111", "'weights' is not an array"),
+        ({"0": "1", "1": "0", "2": "1"}, "malformed scenario document"),
     ):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"weights": weights}))

@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from evacregret import PathModelError, Scenario, pwl, theta
+from evacregret import PathModelError, Scenario, profiles, pwl, theta, worst_case
+from evacregret.envelopes import SolveCache, cached_envelope
 from evacregret.evacuation import theta_min_on_edge
-from evacregret.path_model import two_varying
+from evacregret.path_model import reflect_instance, two_varying
 from evacregret.profiles import (
     Box,
     ProfileError,
@@ -29,6 +31,7 @@ from conftest import (
     random_scenario,
     rational,
 )
+from test_mirror import DERANDOMIZED, instances
 
 
 def aff(points):
@@ -168,16 +171,22 @@ def test_min_max_y_profile_single_point_box():
 
 
 def test_min_max_y_profile_random_exact():
-    """Exact agreement with split enumeration.  The last 20 draws take
-    criterion 4's square box and narrower offset range; like the first 100,
-    they include breakpoints whose balanced window misses the slope-bracketed
-    run of the other curve (an empty witness piece)."""
+    """Exact agreement with split enumeration.  Draws 101-120 take criterion
+    4's square box and narrower offset range; like the first 100, they
+    include breakpoints whose balanced window misses the slope-bracketed run
+    of the other curve (an empty witness piece).  The last 60 have a
+    one-point side, Box(a, a, 0, 2) or Box(0, 2, b, b), which takes no branch
+    of its own: a one-point curve balances the other's end breakpoints."""
     rng = random.Random(229)
-    draws = [(3, Fraction(1), 2)] * 100 + [(2, Fraction(1, 2), 1)] * 20
-    for a2, y_lo_max, y_width in draws:
+    draws = [(3, None, Fraction(1), 2)] * 100 + [(2, None, Fraction(1, 2), 1)] * 20
+    draws += [(2, "a", Fraction(1), 2), (2, "b", Fraction(1), 2)] * 30
+    for a2, point, y_lo_max, y_width in draws:
         fl = random_convex_pwl(rng, 0, a2)
         fr = random_convex_pwl(rng, 0, 2)
         box = Box(0, a2, 0, 2)
+        if point:
+            p = rational(rng, 0, 2, 8)
+            box = Box(p, p, 0, 2) if point == "a" else Box(0, 2, p, p)
         y_lo = rational(rng, -1, y_lo_max, 4)
         y_hi = y_lo + rational(rng, 0, y_width, 4)
         m = min_max_y_profile(fl, fr, box, (y_lo, y_hi))
@@ -382,3 +391,47 @@ def test_shared_cache_changes_no_profile():
                         edge_min_profile_single(inst, v, k, base, span)
     with pytest.raises(ValueError):
         edge_min_profile(reflect_instance(inst), 0, n, 0, box, cache=cache)
+
+
+def clipped_composition(base, vi, vj, k, box, cache):
+    """The edge profile with the offset variant's clipped witnesses: the min
+    of the vertex profiles at x_k and x_{k+1} and the whole offset variant
+    over the edge, floored at 0."""
+    xk, xk1 = cache.instance.positions[k : k + 2]
+    f_left = cached_envelope(cache, "left", vi, k + 1, base, box.a1, box.a2)
+    f_right = cached_envelope(cache, "right", vj, k, base, box.b1, box.b2)
+    interior = min_max_y_profile(
+        pwl.add_const(f_left, -xk1), pwl.add_const(f_right, xk), box, (xk, xk1)
+    )
+    interior = pwl.merge_max(interior, pwl.constant(0, interior.lo, interior.hi))
+    at_left, at_right = (
+        profiles._vertex_profile_core(base, vi, vj, t, box, cache) for t in (k, k + 1)
+    )
+    return pwl.merge_min_total(pwl.merge_min_total(at_left, at_right), interior)
+
+
+@DERANDOMIZED
+@given(instances(min_n=1))
+def test_edge_core_needs_no_clipped_witness(inst):
+    """Every edge profile a family term requests, on the instance and on its
+    mirror (where the right families run), equals the composition with the
+    offset clipped at either end of the edge: both-free boxes, boxes with a
+    one-point side from a pinned interval, and the single-varying profiles,
+    whose second coordinate is pinned."""
+    core = profiles._edge_profile_core
+    for side in (inst, reflect_instance(inst)):
+        cache, requested = SolveCache(side), []
+
+        def spy(*args):
+            requested.append(args)
+            return core(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(profiles, "_edge_profile_core", spy)
+            for key, _ in worst_case._term_bounds(cache, side.n):
+                term = worst_case._left_term(cache, *key)
+                for u in term.edges:
+                    term.profile(u)
+        assert requested
+        for args in requested:
+            assert core(*args) == clipped_composition(*args)
