@@ -8,18 +8,19 @@ as functions of the total alpha, for curves nondecreasing on the box sides:
   min over (a1,a2) splits of alpha inside a box of max(fL(a1), fR(a2))
   min over splits and an offset y in [lo,hi] of max(fL(a1)+y, fR(a2)-y)
 
-Each is the min-merge of witness functions, one per structural condition a
-minimizer can satisfy (a pinned box coordinate, a balanced crossing, a pinned
-offset endpoint, or a breakpoint of one curve matched against slope-bracketed
-pieces of the other).  Every witness is the value of some feasible choice,
-hence an upper bound pointwise, and one is tight at every alpha, so the
-min-merge is exact; all outputs are good, of size O(n).  `_pinned`, a pinned
-coordinate's witness, is also the whole profile of a box with a one-point
-side.  The offset variant is symmetric under y -> -y with the sides swapped:
-the pieces pinning a breakpoint of the right curve are the left rule,
-`_pinned_pieces`, on (fR, fL) over (-y_hi, -y_lo), and a one-point side needs
-no branch of its own.  An edge profile is one min-merge of its two vertex
-profiles and the offset variant's balanced pieces, `_balanced_pieces`.
+min_max_profile is one level-set inverse: at level t the feasible a1 are
+[a1, gL(t)], gL the largest argument where fL is at most t, and likewise a2,
+so after a flat head the profile is the inverse of gL + gR; a one-point,
+all-flat or flat-bottomed side needs no code of its own.  The offset variant
+is the min-merge of witnesses, one per structural condition a minimizer can
+satisfy (a pinned offset endpoint, or a breakpoint of one curve balanced
+against slope-bracketed pieces of the other); each is the value of some
+feasible choice and one is tight at every alpha, so the min-merge is exact
+and good, of size O(n).  It is symmetric under y -> -y with the sides
+swapped: the pieces pinning a breakpoint of the right curve are the left
+rule, `_pinned_pieces`, on (fR, fL) over (-y_hi, -y_lo), so a one-point side
+needs no branch of its own.  An edge profile is one min-merge of its two
+vertex profiles and the offset variant's balanced pieces, `_balanced_pieces`.
 """
 from __future__ import annotations
 
@@ -71,30 +72,6 @@ class Box:
         return self.a2 + self.b2
 
 
-# Decomposition of flat-bottomed inputs ----------------------------------------
-
-
-def _flat_split(f: PwlFunction) -> tuple[Optional[Fraction], Optional[PwlFunction]]:
-    """Split a nondecreasing f into max(constant, strictly-increasing part).
-
-    Returns (const, positive) where either may be None.  The positive part is
-    the strictly increasing tail extended linearly down to the left domain
-    edge, so max(const, positive) == f exactly.  Requires any flat run of f to
-    be a single leading piece (true for canonical upper envelopes of lines).
-    """
-    f = pwl.canonical(f)
-    slopes = f.slopes()
-    if all(m > 0 for m in slopes):
-        return None, f
-    if slopes[0] != 0 or any(m <= 0 for m in slopes[1:]):
-        raise ProfileError("input is not flat-bottomed nondecreasing")
-    if len(slopes) == 1:
-        return f.values[0], None
-    # extend the first increasing piece leftward over the flat run
-    head = f.values[1] - slopes[1] * (f.breakpoints[1] - f.lo)
-    return f.values[0], PwlFunction((f.lo, *f.breakpoints[1:]), (head, *f.values[1:]))
-
-
 def _require_within(f: PwlFunction, lo: Fraction, hi: Fraction, name: str):
     if f.lo > lo or f.hi < hi:
         raise ProfileError(
@@ -105,68 +82,39 @@ def _require_within(f: PwlFunction, lo: Fraction, hi: Fraction, name: str):
 # Core: min over box slices of max(fL, fR) --------------------------------------
 
 
-def _min_against_const_left(f_right: PwlFunction, box: Box) -> PwlFunction:
-    """min over the alpha-slice of fR(a2), the left side being a constant:
-    fR is minimized by pushing a1 as high as feasible."""
-    head = pwl.constant(f_right(box.b1), box.alpha_lo, box.a2 + box.b1)
-    tail = pwl.shift_arg(pwl.restrict(f_right, box.b1, box.b2), box.a2)
-    return pwl.merge_min_to_total([head, tail], box.alpha_lo, box.alpha_hi)
-
-
-def _pinned(value: Fraction, moving: PwlFunction, shift: Fraction) -> PwlFunction:
-    """max(value, moving(alpha - shift)): the witness of a box coordinate pinned
-    at `shift`, where the pinned side's curve reads `value`."""
-    return pwl.merge_max(
-        pwl.shift_arg(moving, shift),
-        pwl.constant(value, moving.lo + shift, moving.hi + shift),
-    )
-
-
-def _five_witness_profile(fl: PwlFunction, fr: PwlFunction, box: Box) -> PwlFunction:
-    """The witness construction for strictly increasing fL, fR, given on the
-    box sides: each side pinned at either end, and the balanced crossing."""
-    witnesses = [
-        _pinned(pinned.values[t], moving, pinned.breakpoints[t])
-        for pinned, moving in ((fl, fr), (fr, fl))
-        for t in (0, -1)
-    ]
-    # balanced crossing: invert both curves and re-invert their sum
-    t_lo = max(fl.values[0], fr.values[0])
-    t_hi = min(fl.values[-1], fr.values[-1])
-    if t_lo <= t_hi:
-        g = pwl.add(pwl.inverse(fl), pwl.inverse(fr))
-        witnesses.append(pwl.inverse(pwl.restrict(g, t_lo, t_hi)))
-    return pwl.merge_min_to_total(witnesses, box.alpha_lo, box.alpha_hi)
+def _largest_argument(f: PwlFunction, lo: Fraction, hi: Fraction, top: Fraction) -> PwlFunction:
+    """t -> max{a in [lo, hi] : f(a) <= t} on [f(lo), top], for top >= f(hi)
+    and f nondecreasing on [lo, hi] with any flat run one leading piece: the
+    inverse of f's strictly rising part, then the constant hi up to top."""
+    f = pwl.canonical(pwl.restrict(f, lo, hi))
+    slopes = f.slopes()
+    flat = 1 if slopes and slopes[0] == 0 else 0
+    if any(m <= 0 for m in slopes[flat:]):
+        raise ProfileError("input is not flat-bottomed nondecreasing")
+    g = pwl.inverse(PwlFunction(f.breakpoints[flat:], f.values[flat:]))
+    return g if top == g.hi else PwlFunction((*g.breakpoints, top), (*g.values, hi))
 
 
 def min_max_profile(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlFunction:
     """min over (a1,a2) in the alpha-slice of the box of max(fL(a1), fR(a2)),
     for fL, fR nondecreasing on the box sides with any flat run one leading
-    piece: good, of size at most 5*(size_fL + size_fR) + 8, in linear time."""
-    a1, a2, b1, b2 = box.a1, box.a2, box.b1, box.b2
-    _require_within(f_left, a1, a2, "f_left")
-    _require_within(f_right, b1, b2, "f_right")
-    if a1 == a2:
-        return _pinned(f_left(a1), pwl.restrict(f_right, b1, b2), a1)
-    if b1 == b2:
-        return min_max_profile(f_right, f_left, Box(b1, b2, a1, a2))
+    piece: good, of size at most size_fL + size_fR + 3, in linear time.
 
-    const_l, pos_l = _flat_split(pwl.restrict(f_left, a1, a2))
-    const_r, pos_r = _flat_split(pwl.restrict(f_right, b1, b2))
-    consts = [c for c in (const_l, const_r) if c is not None]
-
-    if pos_l is None and pos_r is None:
-        return pwl.constant(max(consts), box.alpha_lo, box.alpha_hi)
-    # the min over splits of max(c, g) is max(c, min over splits of g)
-    if pos_l is None:
-        result = _min_against_const_left(pos_r, box)
-    elif pos_r is None:
-        result = _min_against_const_left(pos_l, Box(b1, b2, a1, a2))
-    else:
-        result = _five_witness_profile(pos_l, pos_r, box)
-    for c in consts:
-        result = pwl.merge_max(result, pwl.constant(c, result.lo, result.hi))
-    return result
+    At level t the a1 with fL(a1) <= t are [a1, gL(t)], gL the largest
+    argument, and likewise for a2, so the profile at alpha is the least
+    t >= t0 = max(fL(a1), fR(b1)) with gL(t) + gR(t) >= alpha: t0 up to
+    alpha = gL(t0) + gR(t0), then the inverse of gL + gR, which rises strictly
+    below the top level max(fL(a2), fR(b2)) because one side still rises."""
+    _require_within(f_left, box.a1, box.a2, "f_left")
+    _require_within(f_right, box.b1, box.b2, "f_right")
+    top = max(f_left(box.a2), f_right(box.b2))
+    rise = pwl.inverse(pwl.add(
+        _largest_argument(f_left, box.a1, box.a2, top),
+        _largest_argument(f_right, box.b1, box.b2, top),
+    ))
+    if rise.lo == box.alpha_lo:
+        return rise
+    return PwlFunction((box.alpha_lo, *rise.breakpoints), (rise.values[0], *rise.values))
 
 
 # Core: the offset variant ------------------------------------------------------
@@ -201,7 +149,11 @@ def _pinned_pieces(
     wherever the balanced offset (moving - v)/2 lies in [y_lo, y_hi].  At
     either end of the anchor's domain the whole moving curve, even one point,
     may balance it; at an interior breakpoint only the run of moving pieces
-    whose slopes lie between the two anchor slopes meeting there, if any."""
+    whose slopes lie between the two anchor slopes meeting there, if any.
+    A one-point moving curve against a longer anchor yields nothing: the
+    pieces it yields as the anchor already hold those end points."""
+    if moving.size == 0 < anchor.size:
+        return
     slopes_a, slopes_m = anchor.slopes(), moving.slopes()
     for k, (crit, v) in enumerate(zip(anchor.breakpoints, anchor.values)):
         first, stop = 0, moving.size

@@ -105,25 +105,38 @@ def test_min_max_profiles_refuse_malformed_inputs():
         min_max_profile(late_flat, rising, Box(0, 2, 0, 1))
     falling = aff([(0, 1), (1, 0)])
     with pytest.raises(ProfileError, match="nondecreasing"):
+        min_max_profile(rising, falling, Box(0, 1, 0, 1))
+    with pytest.raises(ProfileError, match="nondecreasing"):
         min_max_y_profile(rising, falling, Box(0, 1, 0, 1), (0, 1))
+    with pytest.raises(ProfileError, match="does not cover"):
+        min_max_profile(rising, rising, Box(0, 2, 0, 1))
 
 
 def test_min_max_profile_random_exact():
     """Exact agreement with full candidate enumeration, plus goodness and the
-    linear size bound."""
+    linear size bound.  After the first 100 draws, 60 have a one-point side,
+    Box(p, p, 0, 2) or Box(0, 3, p, p), and 60 pass flat_bottomed sides (a
+    flat leading piece or a constant), 20 of them with a one-point side."""
     rng = random.Random(211)
-    for _ in range(100):
+    draws = [(None, False)] * 100 + [("a", False), ("b", False)] * 30
+    draws += [(None, True)] * 40 + [("a", True), ("b", True)] * 10
+    for point, flat in draws:
         fl = random_positive_pwl(rng, 0, 3)
         fr = random_positive_pwl(rng, 0, 2)
+        if flat:
+            fl, fr = flat_bottomed(rng, fl), flat_bottomed(rng, fr)
         box = Box(0, 3, 0, 2)
+        if point:
+            p = rational(rng, 0, 2, 8)
+            box = Box(p, p, 0, 2) if point == "a" else Box(0, 3, p, p)
         m = min_max_profile(fl, fr, box)
         assert m.is_good()
-        assert m.size <= 5 * (fl.size + fr.size) + 8
+        assert m.size <= fl.size + fr.size + 3
         for _ in range(12):
             alpha = rational(rng, box.alpha_lo, box.alpha_hi, 32)
             assert m(alpha) == grid_min_max_split(fl, fr, box, alpha)
-        assert m(box.alpha_lo) == max(fl(0), fr(0))
-        assert m(box.alpha_hi) == max(fl(3), fr(2))
+        assert m(box.alpha_lo) == max(fl(box.a1), fr(box.b1))
+        assert m(box.alpha_hi) == max(fl(box.a2), fr(box.b2))
 
 
 def test_min_max_profile_grid_tolerance():
