@@ -12,22 +12,20 @@ min_max_profile is one level-set inverse: at level t the feasible a1 are
 [a1, gL(t)], gL the largest argument where fL is at most t, and likewise a2,
 so after a flat head the profile is the inverse of gL + gR; a one-point,
 all-flat or flat-bottomed side needs no code of its own.  The offset variant
-is the min-merge of witnesses, one per structural condition a minimizer can
-satisfy (a pinned offset endpoint, or a breakpoint of one curve balanced
-against slope-bracketed pieces of the other); each is the value of some
-feasible choice and one is tight at every alpha, so the min-merge is exact
-and good, of size O(n).  It is symmetric under y -> -y with the sides
-swapped: the pieces pinning a breakpoint of the right curve are the left
-rule, `_pinned_pieces`, on (fR, fL) over (-y_hi, -y_lo), so a one-point side
-needs no branch of its own.  An edge profile is one min-merge of its two
-vertex profiles and the offset variant's balanced pieces, `_balanced_pieces`.
+is the min-merge of witnesses, each the value of some feasible choice: the
+offset pinned at either end of its range, and the balanced pieces,
+`_balanced_pieces`, one walk over both curves' pieces in ascending slope
+order (their least-sum splits), kept wherever the offset balancing the two
+curves lies in range.  One witness is tight at every alpha, so the min-merge
+is exact and good, of size O(n); a one-point side or box is a walk like any
+other.  An edge profile is one min-merge of its two vertex profiles and the
+offset variant's balanced pieces.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import pwl
 from .envelopes import SolveCache, cache_for, cached_envelope
@@ -120,75 +118,56 @@ def min_max_profile(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlF
 # Core: the offset variant ------------------------------------------------------
 
 
-def _crossing(f: PwlFunction, t: int, v: Fraction) -> Fraction:
-    """The x on f's piece t (from breakpoint t to t + 1) where f reads v."""
-    q1, q2 = f.breakpoints[t], f.breakpoints[t + 1]
-    v1, v2 = f.values[t], f.values[t + 1]
-    return q1 + (v - v1) * (q2 - q1) / (v2 - v1)
-
-
-def _preimage_interval(
-    f: PwlFunction, v_lo: Fraction, v_hi: Fraction
-) -> Optional[tuple[Fraction, Fraction]]:
-    """[leftmost x with f(x) >= v_lo, rightmost x with f(x) <= v_hi] for
-    nondecreasing f, or None when empty."""
-    vals = f.values
-    if v_lo > v_hi or vals[-1] < v_lo or vals[0] > v_hi:
-        return None
-    first, stop = bisect_left(vals, v_lo), bisect_right(vals, v_hi)
-    lo = f.lo if first == 0 else _crossing(f, first - 1, v_lo)
-    hi = f.hi if stop == len(vals) else _crossing(f, stop - 1, v_hi)
-    return lo, hi
-
-
-def _pinned_pieces(
-    anchor: PwlFunction, moving: PwlFunction, y_lo: Fraction, y_hi: Fraction
-) -> Iterator[PwlFunction]:
-    """Witness pieces for minimizers that pin the anchor's argument at one of
-    its breakpoints, crit, where it reads v: (v + moving)/2, shifted by crit,
-    wherever the balanced offset (moving - v)/2 lies in [y_lo, y_hi].  At
-    either end of the anchor's domain the whole moving curve, even one point,
-    may balance it; at an interior breakpoint only the run of moving pieces
-    whose slopes lie between the two anchor slopes meeting there, if any.
-    A one-point moving curve against a longer anchor yields nothing: the
-    pieces it yields as the anchor already hold those end points."""
-    if moving.size == 0 < anchor.size:
-        return
-    slopes_a, slopes_m = anchor.slopes(), moving.slopes()
-    for k, (crit, v) in enumerate(zip(anchor.breakpoints, anchor.values)):
-        first, stop = 0, moving.size
-        if 0 < k < anchor.size:
-            first = bisect_left(slopes_m, slopes_a[k - 1])
-            stop = bisect_right(slopes_m, slopes_a[k])
-            if first >= stop:
-                continue  # no moving slope lies between the two anchor slopes
-        window = _preimage_interval(moving, v + 2 * y_lo, v + 2 * y_hi)
-        if window is None:
-            continue
-        lo, hi = max(window[0], moving.breakpoints[first]), min(window[1], moving.breakpoints[stop])
-        if lo <= hi:
-            piece = pwl.scale(pwl.add_const(pwl.restrict(moving, lo, hi), v), Fraction(1, 2))
-            yield pwl.shift_arg(piece, crit)
-
-
 def _balanced_pieces(
     f_left: PwlFunction, f_right: PwlFunction, box: Box, y_lo: Fraction, y_hi: Fraction
 ) -> list[PwlFunction]:
-    """The offset variant's witness pieces that pin a breakpoint of either
-    curve at an offset balancing the two, after checking its preconditions."""
+    """The offset variant's witness pieces at an offset balancing the two
+    curves, after checking its preconditions.  The least-sum splits are one
+    walk over both curves' pieces in ascending slope order, the left first
+    on ties (the inf-convolution of two convex curves); walk point (i, j)
+    has alpha qL_i + qR_j, value (vL_i + vR_j)/2 and balancing offset
+    (vR_j - vL_i)/2, which is linear along a step, so each step keeps the
+    sub-interval where the offset lies in [y_lo, y_hi], or nothing.
+
+    Exact with the end-pinned witnesses: for a fixed split the best y is the
+    balancing offset when in range, giving (fL + fR)/2, else the nearer end
+    of the range.  Along the alpha-slice (fL + fR)/2 is convex and the
+    balancing offset falls as a1 grows, so the best in-range split is the
+    least-sum split with the largest a1 (the one walked), clamped into the
+    in-range run; a clamped split's offset is at an end of the range, a value
+    the end-pinned profiles hold (min_max_y_profile's two min_max_profiles,
+    or the vertex profiles, never above them, in _edge_profile_core)."""
     _require_within(f_left, box.a1, box.a2, "f_left")
     _require_within(f_right, box.b1, box.b2, "f_right")
     if y_lo > y_hi:
         raise ProfileError("offset range is empty")
     fl = pwl.canonical(pwl.restrict(f_left, box.a1, box.a2))
     fr = pwl.canonical(pwl.restrict(f_right, box.b1, box.b2))
-    for f, name in ((fl, "f_left"), (fr, "f_right")):
-        slopes = f.slopes()
+    slopes_l, slopes_r = fl.slopes(), fr.slopes()
+    for slopes, name in ((slopes_l, "f_left"), (slopes_r, "f_right")):
         if any(m < 0 for m in slopes):
             raise ProfileError(f"{name} must be nondecreasing")
         if any(m2 <= m1 for m1, m2 in zip(slopes, slopes[1:])):
             raise ProfileError(f"{name} slope sequence must be strictly increasing")
-    return [*_pinned_pieces(fl, fr, y_lo, y_hi), *_pinned_pieces(fr, fl, -y_hi, -y_lo)]
+    walk = [(0, 0)]
+    for _, side in sorted([(m, 0) for m in slopes_l] + [(m, 1) for m in slopes_r]):
+        i, j = walk[-1]
+        walk.append((i + 1, j) if side == 0 else (i, j + 1))
+    alphas = tuple(fl.breakpoints[i] + fr.breakpoints[j] for i, j in walk)
+    level = PwlFunction(alphas, tuple((fl.values[i] + fr.values[j]) / 2 for i, j in walk))
+    ends = [(alpha, (fr.values[j] - fl.values[i]) / 2) for alpha, (i, j) in zip(alphas, walk)]
+    pieces = []
+    # a one-point walk is one step from its point to itself
+    for (x0, o0), (x1, o1) in zip(ends, ends[1:] or ends):
+        lo, hi = x0, x1
+        if o0 != o1:
+            at_ends = sorted(x0 + (y - o0) * (x1 - x0) / (o1 - o0) for y in (y_lo, y_hi))
+            lo, hi = max(x0, at_ends[0]), min(x1, at_ends[1])
+        elif not y_lo <= o0 <= y_hi:
+            continue
+        if lo <= hi:
+            pieces.append(pwl.restrict(level, lo, hi))
+    return pieces
 
 
 def min_max_y_profile(

@@ -101,7 +101,8 @@ def constant(value: RationalLike, lo: RationalLike, hi: RationalLike) -> PwlFunc
 
 
 def canonical(f: PwlFunction) -> PwlFunction:
-    """Merge consecutive co-linear pieces so sizes compare deterministically."""
+    """Merge consecutive co-linear pieces so sizes compare deterministically;
+    f itself when none merge."""
     if f.size <= 1:
         return f
     qs = [f.breakpoints[0], f.breakpoints[1]]
@@ -113,6 +114,8 @@ def canonical(f: PwlFunction) -> PwlFunction:
         else:
             qs.append(q)
             vs.append(v)
+    if len(qs) == len(f.breakpoints):
+        return f
     return PwlFunction(tuple(qs), tuple(vs))
 
 
@@ -130,10 +133,13 @@ def evaluate(f: PwlFunction, x: RationalLike) -> Fraction:
 
 
 def restrict(f: PwlFunction, lo: RationalLike, hi: RationalLike) -> PwlFunction:
-    """Restriction to [lo, hi], which must lie within the domain."""
+    """Restriction to [lo, hi], which must lie within the domain; f itself
+    when [lo, hi] is the domain."""
     lo, hi = to_fraction(lo), to_fraction(hi)
     if not f.lo <= lo <= hi <= f.hi:
         raise PwlError(f"restriction [{lo}, {hi}] is empty or outside [{f.lo}, {f.hi}]")
+    if lo == f.lo and hi == f.hi:
+        return f
     qs = _cuts((f,), lo, hi)
     return PwlFunction(tuple(qs), tuple(_values_on(f, qs)))
 

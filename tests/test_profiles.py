@@ -110,6 +110,10 @@ def test_min_max_profiles_refuse_malformed_inputs():
         min_max_y_profile(rising, falling, Box(0, 1, 0, 1), (0, 1))
     with pytest.raises(ProfileError, match="does not cover"):
         min_max_profile(rising, rising, Box(0, 2, 0, 1))
+    with pytest.raises(ProfileError, match="does not cover"):
+        min_max_y_profile(rising, rising, Box(0, 1, 0, 2), (0, 1))
+    with pytest.raises(ProfileError, match="offset range is empty"):
+        min_max_y_profile(rising, rising, Box(0, 1, 0, 1), (1, 0))
 
 
 def test_min_max_profile_random_exact():
@@ -185,21 +189,24 @@ def test_min_max_y_profile_single_point_box():
 
 def test_min_max_y_profile_random_exact():
     """Exact agreement with split enumeration.  Draws 101-120 take criterion
-    4's square box and narrower offset range; like the first 100, they
-    include breakpoints whose balanced window misses the slope-bracketed run
-    of the other curve (an empty witness piece).  The last 60 have a
-    one-point side, Box(a, a, 0, 2) or Box(0, 2, b, b), which takes no branch
-    of its own: a one-point curve balances the other's end breakpoints."""
+    4's square box and narrower offset range.  The next 60 have a one-point
+    side, Box(a, a, 0, 2) or Box(0, 2, b, b); then 40 take fR = fL + c, whose
+    pieces tie slope for slope, so the walk's tie rule picks every step; the
+    last 20 have a one-point box, Box(a, a, b, b), a walk of one point."""
     rng = random.Random(229)
     draws = [(3, None, Fraction(1), 2)] * 100 + [(2, None, Fraction(1, 2), 1)] * 20
     draws += [(2, "a", Fraction(1), 2), (2, "b", Fraction(1), 2)] * 30
-    for a2, point, y_lo_max, y_width in draws:
+    draws += [(2, "same", Fraction(1), 2)] * 40 + [(2, "ab", Fraction(1), 2)] * 20
+    for a2, shape, y_lo_max, y_width in draws:
         fl = random_convex_pwl(rng, 0, a2)
         fr = random_convex_pwl(rng, 0, 2)
         box = Box(0, a2, 0, 2)
-        if point:
+        if shape == "same":
+            fr = pwl.add_const(fl, rational(rng, -1, 1, 8))
+        elif shape:
             p = rational(rng, 0, 2, 8)
-            box = Box(p, p, 0, 2) if point == "a" else Box(0, 2, p, p)
+            q = rational(rng, 0, 2, 8) if shape == "ab" else p
+            box = {"a": Box(p, p, 0, 2), "b": Box(0, 2, p, p), "ab": Box(p, p, q, q)}[shape]
         y_lo = rational(rng, -1, y_lo_max, 4)
         y_hi = y_lo + rational(rng, 0, y_width, 4)
         m = min_max_y_profile(fl, fr, box, (y_lo, y_hi))
@@ -218,7 +225,7 @@ def test_min_max_y_profile_rejects_repeated_slopes():
     wiggle = pwl.PwlFunction(
         (Fraction(0), Fraction(1), Fraction(2)), (Fraction(0), Fraction(2), Fraction(3))
     )
-    with pytest.raises(ProfileError):
+    with pytest.raises(ProfileError, match="strictly increasing"):
         min_max_y_profile(wiggle, f, Box(0, 2, 0, 2), (0, 1))
 
 

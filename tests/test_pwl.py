@@ -312,6 +312,22 @@ def test_canonical_merges_colinear():
     assert pwl.canonical(f).breakpoints == (0, 2)
 
 
+def test_unchanged_function_is_not_copied():
+    """restrict to f's own domain and canonical of a canonical f return f
+    itself; a proper restriction and a co-linear merge still build anew."""
+    f = pwl.from_points(
+        [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(3))]
+    )
+    assert pwl.restrict(f, 0, 2) is f
+    assert pwl.canonical(f) is f
+    point = PwlFunction((Fraction(1),), (Fraction(5),))
+    assert pwl.restrict(point, 1, 1) is point and pwl.canonical(point) is point
+    assert pwl.restrict(f, 0, 1).breakpoints == (0, 1)
+    colinear = pwl.from_points([(Fraction(q), Fraction(q + 1)) for q in range(3)])
+    merged = pwl.canonical(colinear)
+    assert merged.breakpoints == (0, 2) and merged.values == (1, 3)
+
+
 def test_good_positive_classification():
     f = pwl.from_points([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))])
     assert f.is_good() and f.is_positive()
