@@ -15,6 +15,7 @@ from .path_model import (
     PathInstance,
     PathModelError,
     Scenario,
+    check_scenario_length,
     parse_instance,
     parse_scenario,
     to_fraction,
@@ -40,8 +41,7 @@ def _load_instance(path: str) -> PathInstance:
 def _load_scenario(path: str, instance: PathInstance) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         scenario = parse_scenario(fh.read())
-    if len(scenario.weights) != instance.vertex_count:
-        raise PathModelError("scenario length does not match instance")
+    check_scenario_length(instance, scenario)
     if any(w < 0 for w in scenario.weights):
         raise PathModelError("scenario weights must be nonnegative")
     return scenario

@@ -13,6 +13,7 @@ from .path_model import (
     RationalLike,
     Scenario,
     as_point,
+    check_scenario_length,
     prefix_weight,
     reflect_instance,
     reflect_scenario,
@@ -85,6 +86,7 @@ def theta(
     counted on neither side.  Strictly inside an edge, both sides reduce to the
     flanking-vertex values minus the travel offset.
     """
+    check_scenario_length(instance, s)
     point = as_point(instance, x)
     if point.vertex_index is not None:
         j = point.vertex_index
@@ -110,6 +112,7 @@ def theta_min_on_edge(
     """
     if not (0 <= k < instance.n):
         raise PathModelError(f"edge index out of range: {k}")
+    check_scenario_length(instance, s)
     times = _vertex_times(instance, k, s) + _vertex_times(instance, k + 1, s)
     value, y = _edge_min_from_times(instance, k, times)
     return as_point(instance, y), value
@@ -171,6 +174,7 @@ def optimal_sink(instance: PathInstance, s: Scenario) -> OptSink:
     already probed.  When j = 0 the right time at x_0 is 0, so x_0 is
     optimal with value 0; this covers n = 0 and the all-zero scenario.
     """
+    check_scenario_length(instance, s)
     sides = cache(lambda j: _vertex_times(instance, j, s))
     j = _first_crossing(sides, instance.n)
     if j == 0:

@@ -195,6 +195,12 @@ def validate(instance: PathInstance) -> list[str]:
 # Scenario operations ---------------------------------------------------------
 
 
+def check_scenario_length(instance: PathInstance, s: Scenario) -> None:
+    """Refuse a scenario without exactly one weight per vertex."""
+    if len(s.weights) != instance.vertex_count:
+        raise PathModelError("scenario length does not match instance")
+
+
 def prefix_weight(s: Scenario, i: int, j: int) -> Fraction:
     """W_{i,j}: the total weight on vertices i..j inclusive."""
     if not (0 <= i <= j < len(s.weights)):

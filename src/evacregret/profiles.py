@@ -12,14 +12,14 @@ min_max_profile is one level-set inverse: at level t the feasible a1 are
 [a1, gL(t)], gL the largest argument where fL is at most t, and likewise a2,
 so after a flat head the profile is the inverse of gL + gR; a one-point,
 all-flat or flat-bottomed side needs no code of its own.  The offset variant
-is the min-merge of witnesses, each the value of some feasible choice: the
-offset pinned at either end of its range, and the balanced pieces,
-`_balanced_pieces`, one walk over both curves' pieces in ascending slope
-order (their least-sum splits), kept wherever the offset balancing the two
-curves lies in range.  One witness is tight at every alpha, so the min-merge
-is exact and good, of size O(n); a one-point side or box is a walk like any
-other.  An edge profile is one min-merge of its two vertex profiles and the
-offset variant's balanced pieces.
+is the min-merge of three witnesses over the whole alpha range, each the
+value of some feasible choice: the offset pinned at either end of its range,
+and the balanced witness, `_balanced_witness`, one walk over both curves'
+pieces in ascending slope order (their least-sum splits) with the offset
+balancing the two curves clamped into its range.  One witness is tight at
+every alpha, so the min-merge is exact and good, of size O(n); a one-point
+side or box is a walk like any other.  An edge profile is one min-merge of
+its two vertex profiles and the balanced witness.
 """
 from __future__ import annotations
 
@@ -118,25 +118,28 @@ def min_max_profile(f_left: PwlFunction, f_right: PwlFunction, box: Box) -> PwlF
 # Core: the offset variant ------------------------------------------------------
 
 
-def _balanced_pieces(
+def _balanced_witness(
     f_left: PwlFunction, f_right: PwlFunction, box: Box, y_lo: Fraction, y_hi: Fraction
-) -> list[PwlFunction]:
-    """The offset variant's witness pieces at an offset balancing the two
-    curves, after checking its preconditions.  The least-sum splits are one
-    walk over both curves' pieces in ascending slope order, the left first
-    on ties (the inf-convolution of two convex curves); walk point (i, j)
-    has alpha qL_i + qR_j, value (vL_i + vR_j)/2 and balancing offset
-    (vR_j - vL_i)/2, which is linear along a step, so each step keeps the
-    sub-interval where the offset lies in [y_lo, y_hi], or nothing.
+) -> PwlFunction:
+    """The offset variant's witness over the whole alpha range, after
+    checking its preconditions: the least-sum split with its best offset.
+    The least-sum splits are one walk over both curves' pieces in ascending
+    slope order, the left first on ties (the inf-convolution of two convex
+    curves); with L = fL(a1) and R = fR(a2) at a walked split, the best y
+    is the balancing offset (R - L)/2 clamped into [y_lo, y_hi], of value
+    max((L + R)/2, L + y_lo, R - y_hi).  L and R are linear along a step,
+    so the value is too, except where the balancing offset crosses y_lo or
+    y_hi, which become breakpoints.
 
     Exact with the end-pinned witnesses: for a fixed split the best y is the
     balancing offset when in range, giving (fL + fR)/2, else the nearer end
     of the range.  Along the alpha-slice (fL + fR)/2 is convex and the
     balancing offset falls as a1 grows, so the best in-range split is the
-    least-sum split with the largest a1 (the one walked), clamped into the
-    in-range run; a clamped split's offset is at an end of the range, a value
-    the end-pinned profiles hold (min_max_y_profile's two min_max_profiles,
-    or the vertex profiles, never above them, in _edge_profile_core)."""
+    least-sum split with the largest a1 (the one walked), and there this
+    witness is tight.  Elsewhere it is the value of a feasible choice with
+    the offset at an end of its range, never below what the end-pinned
+    profiles hold there (min_max_y_profile's two min_max_profiles, or the
+    vertex profiles in _edge_profile_core), and one of those is tight."""
     _require_within(f_left, box.a1, box.a2, "f_left")
     _require_within(f_right, box.b1, box.b2, "f_right")
     if y_lo > y_hi:
@@ -149,25 +152,23 @@ def _balanced_pieces(
             raise ProfileError(f"{name} must be nondecreasing")
         if any(m2 <= m1 for m1, m2 in zip(slopes, slopes[1:])):
             raise ProfileError(f"{name} slope sequence must be strictly increasing")
-    walk = [(0, 0)]
+    i = j = 0
+    points = [(box.alpha_lo, fl.values[0], fr.values[0])]
     for _, side in sorted([(m, 0) for m in slopes_l] + [(m, 1) for m in slopes_r]):
-        i, j = walk[-1]
-        walk.append((i + 1, j) if side == 0 else (i, j + 1))
-    alphas = tuple(fl.breakpoints[i] + fr.breakpoints[j] for i, j in walk)
-    level = PwlFunction(alphas, tuple((fl.values[i] + fr.values[j]) / 2 for i, j in walk))
-    ends = [(alpha, (fr.values[j] - fl.values[i]) / 2) for alpha, (i, j) in zip(alphas, walk)]
-    pieces = []
-    # a one-point walk is one step from its point to itself
-    for (x0, o0), (x1, o1) in zip(ends, ends[1:] or ends):
-        lo, hi = x0, x1
-        if o0 != o1:
-            at_ends = sorted(x0 + (y - o0) * (x1 - x0) / (o1 - o0) for y in (y_lo, y_hi))
-            lo, hi = max(x0, at_ends[0]), min(x1, at_ends[1])
-        elif not y_lo <= o0 <= y_hi:
-            continue
-        if lo <= hi:
-            pieces.append(pwl.restrict(level, lo, hi))
-    return pieces
+        i, j = (i + 1, j) if side == 0 else (i, j + 1)
+        x0, l0, r0 = points[-1]
+        x1, l1, r1 = end = (fl.breakpoints[i] + fr.breakpoints[j], fl.values[i], fr.values[j])
+        # twice the balancing offset, R - L, is linear along the step
+        drift = (r1 - l1) - (r0 - l0)
+        if drift:
+            for t in sorted({(2 * y - (r0 - l0)) / drift for y in (y_lo, y_hi)}):
+                if 0 < t < 1:
+                    points.append((x0 + t * (x1 - x0), l0 + t * (l1 - l0), r0 + t * (r1 - r0)))
+        points.append(end)
+    return PwlFunction(
+        tuple(x for x, _, _ in points),
+        tuple(max((l + r) / 2, l + y_lo, r - y_hi) for _, l, r in points),
+    )
 
 
 def min_max_y_profile(
@@ -178,12 +179,14 @@ def min_max_y_profile(
 ) -> PwlFunction:
     """min over slices and y in y_range of max(fL(a1)+y, fR(a2)-y), for fL, fR
     nondecreasing on the box sides with strictly increasing slopes: good, with
-    O(size_fL + size_fR) pieces."""
+    O(size_fL + size_fR) pieces.  The min-merge of the balanced witness and the
+    two profiles with y pinned at y_lo and at y_hi; where the balanced
+    witness clamps its offset, one of the pinned profiles is tight."""
     y_lo, y_hi = to_fraction(y_range[0]), to_fraction(y_range[1])
-    witnesses = _balanced_pieces(f_left, f_right, box, y_lo, y_hi)
+    result = _balanced_witness(f_left, f_right, box, y_lo, y_hi)
     for y in (y_lo, y_hi):
-        witnesses.append(min_max_profile(pwl.add_const(f_left, y), pwl.add_const(f_right, -y), box))
-    result = pwl.merge_min_to_total(witnesses, box.alpha_lo, box.alpha_hi)
+        pinned = min_max_profile(pwl.add_const(f_left, y), pwl.add_const(f_right, -y), box)
+        result = pwl.merge_min_total(result, pinned)
     if not result.is_good():
         raise ProfileError("offset profile came out non-monotone; witness bug")
     return result
@@ -211,9 +214,9 @@ def _edge_profile_core(
     base: Scenario, vi: int, vj: int, k: int, box: Box, cache: SolveCache
 ) -> PwlFunction:
     """The least time over sinks y on [x_k, x_{k+1}]: one min-merge of the two
-    vertex profiles and the offset variant's balanced pieces, floored at 0 (a
-    side with no weight contributes zero).  Its other witnesses, the offset
-    clipped at x_k or x_{k+1}, are never below the vertex profile there: at
+    vertex profiles and the balanced witness, floored at 0 (a side with no
+    weight contributes zero).  Where the balanced witness clamps the sink to
+    x_k or x_{k+1}, it is never below the vertex profile there: at
     y = x_k the left curve, the left envelope at x_{k+1} less the edge length,
     is line by line at or above the left envelope at x_k (each bottleneck
     capacity can only fall, and v_k adds a line), and the right curve is the
@@ -221,9 +224,9 @@ def _edge_profile_core(
     xk, xk1 = cache.instance.positions[k : k + 2]
     f_left = pwl.add_const(cached_envelope(cache, "left", vi, k + 1, base, box.a1, box.a2), -xk1)
     f_right = pwl.add_const(cached_envelope(cache, "right", vj, k, base, box.b1, box.b2), xk)
-    parts = [_vertex_profile_core(base, vi, vj, t, box, cache) for t in (k, k + 1)]
-    parts += _balanced_pieces(f_left, f_right, box, xk, xk1)
-    least = pwl.merge_min_to_total(parts, box.alpha_lo, box.alpha_hi)
+    least = _balanced_witness(f_left, f_right, box, xk, xk1)
+    for t in (k, k + 1):
+        least = pwl.merge_min_total(least, _vertex_profile_core(base, vi, vj, t, box, cache))
     return pwl.merge_max(least, pwl.constant(0, least.lo, least.hi))
 
 

@@ -2,18 +2,18 @@
 
 Functions are stored as breakpoints plus the values there, so continuity holds
 by construction.  All arithmetic is over fractions.Fraction; every operation
-documents its output-size bound.  restrict, add, merge_max, max_difference_all
-and merge_min_to_total all evaluate their inputs on one grid, `_cuts`: the
+documents its output-size bound.  restrict, add, merge_max and
+max_difference_all all evaluate their inputs on one grid, `_cuts`: the
 interval ends and every input breakpoint between them.  Every pointwise min
-or max of functions finds its crossings in merge_max.  Merges and sums are
-canonical (no two neighbouring pieces on one line).
+or max of functions finds its crossings in merge_max, on the intersection of
+their domains.  Merges and sums are canonical (no two neighbouring pieces on
+one line).
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
 from .path_model import RationalLike, to_fraction
@@ -241,14 +241,6 @@ def add_const(f: PwlFunction, c: RationalLike) -> PwlFunction:
     return PwlFunction(f.breakpoints, tuple(v + c for v in f.values))
 
 
-def scale(f: PwlFunction, c: RationalLike) -> PwlFunction:
-    """Positive scaling c*f."""
-    c = to_fraction(c)
-    if c <= 0:
-        raise PwlError("scale requires c > 0")
-    return PwlFunction(f.breakpoints, tuple(c * v for v in f.values))
-
-
 def shift_arg(f: PwlFunction, c: RationalLike) -> PwlFunction:
     """Argument translation: result(x) = f(x - c)."""
     c = to_fraction(c)
@@ -307,52 +299,3 @@ def max_difference_all(f: PwlFunction, g: PwlFunction) -> tuple[Fraction, list[F
     diffs = [a - b for a, b in zip(_values_on(f, qs), _values_on(g, qs))]
     best = max(diffs)
     return best, [q for q, d in zip(qs, diffs) if d == best]
-
-
-# Min-merge over partial domains ------------------------------------------------
-
-
-def merge_min_to_total(
-    parts: Sequence[PwlFunction], lo: RationalLike, hi: RationalLike
-) -> PwlFunction:
-    """Pointwise min over [lo, hi] of functions defined on sub-intervals, which
-    must be one continuous function there.
-
-    Sweeps the merged breakpoints inside [lo, hi] once; inside each elementary
-    interval the covering parts are plain segments, whose exact minimum is
-    their pairwise merge_min_total.
-    Raises PwlError at a gap, at a jump at an interior breakpoint, or where a
-    single-point part dips below both sides of an interior breakpoint.  The
-    values at lo and hi are those of the adjacent interval, so a dip exactly
-    there is ignored; a one-point [lo, hi] takes the min of the parts there.
-    """
-    lo, hi = to_fraction(lo), to_fraction(hi)
-    if lo > hi:
-        raise PwlError(f"min-merge over an empty interval [{lo}, {hi}]")
-    if lo == hi:
-        vals = [evaluate(p, lo) for p in parts if p.lo <= lo <= p.hi]
-        if not vals:
-            raise PwlError(f"min-merge leaves {lo} uncovered")
-        return PwlFunction((lo,), (min(vals),))
-    singles = [p for p in parts if p.size == 0]
-    cuts = _cuts(parts, lo, hi)
-    # each part's values at the cuts it spans, by one walk per part
-    walks = []
-    for p in parts:
-        a, b = bisect_left(cuts, p.lo), bisect_right(cuts, p.hi)
-        if b - a > 1:
-            walks.append((a, b, _values_on(p, cuts[a:b])))
-    points: list[tuple[Fraction, Fraction]] = []
-    for t, (q1, q2) in enumerate(zip(cuts, cuts[1:])):
-        pairs = {(vals[t - a], vals[t + 1 - a]) for a, b, vals in walks if a <= t < b - 1}
-        if not pairs:
-            raise PwlError(f"min-merge leaves a gap in [{q1}, {q2}]")
-        segment = reduce(merge_min_total, [PwlFunction((q1, q2), pair) for pair in pairs])
-        if points:
-            left = points.pop()[1]
-            if left != segment.values[0]:
-                raise PwlError(f"min-merge jumps at {q1}: {left} to {segment.values[0]}")
-            if any(p.lo == q1 and p.values[0] < left for p in singles):
-                raise PwlError(f"min-merge dips below {left} at {q1}")
-        points.extend(zip(segment.breakpoints, segment.values))
-    return canonical(from_points(points))

@@ -46,13 +46,11 @@ PWL_API = {
     "upper_envelope",
     "add",
     "add_const",
-    "scale",
     "shift_arg",
     "inverse",
     "merge_max",
     "merge_min_total",
     "max_difference_all",
-    "merge_min_to_total",
 }
 # PwlFunction's methods and properties besides its two fields
 PWL_FUNCTION_API = {"lo", "hi", "size", "slopes", "is_good", "is_positive"}

@@ -313,6 +313,8 @@ def test_bad_scenario_file_rejected(t1_file, tmp_path, capsys):
         (5, "malformed scenario document"),
         ("111", "'weights' is not an array"),
         ({"0": "1", "1": "0", "2": "1"}, "malformed scenario document"),
+        # a JSON number such as 0.5 is a binary float, not an exact rational
+        (["1", 0.5, "1"], "not an exact rational: 0.5"),
     ):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"weights": weights}))

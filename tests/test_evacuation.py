@@ -137,6 +137,20 @@ def test_regret_examples(t1):
     assert regret(t1, Fraction(1, 2), s) == 0
 
 
+def test_scenario_of_wrong_length_rejected(t1):
+    """theta, regret, optimal_sink and theta_min_on_edge refuse a scenario
+    with one weight too many or too few per vertex of the instance."""
+    for s in (Scenario([1, 1, 1, 5]), Scenario([1, 1])):
+        for call in (
+            lambda: theta(t1, 1, s),
+            lambda: regret(t1, 1, s),
+            lambda: optimal_sink(t1, s),
+            lambda: theta_min_on_edge(t1, 0, s),
+        ):
+            with pytest.raises(PathModelError, match="scenario length does not match instance"):
+                call()
+
+
 def test_regret_nonnegative():
     rng = random.Random(47)
     for _ in range(40):

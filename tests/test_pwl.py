@@ -39,6 +39,16 @@ def test_envelope_empty_raises():
         pwl.upper_envelope([], (0, 1))
 
 
+def test_envelope_on_empty_and_one_point_intervals():
+    lines = [line(0, 1), line(1, 0)]
+    with pytest.raises(PwlError, match="interval is empty"):
+        pwl.upper_envelope(lines, (2, 1))
+    e = pwl.upper_envelope(lines, (3, 3))
+    assert e.breakpoints == (3,) and e.values == (3,)
+    e = pwl.upper_envelope(lines, (0, 0))
+    assert e.breakpoints == (0,) and e.values == (1,)
+
+
 def test_envelope_unsorted_raises():
     with pytest.raises(PwlError):
         pwl.upper_envelope([line(1, 0), line(0, 0)], (0, 1))
@@ -109,8 +119,6 @@ def test_add_scale_shift():
     assert pwl.add(f, g)(1) == 2
     assert pwl.shift_arg(f, 1).breakpoints == (1, 3)
     assert pwl.shift_arg(f, 1)(2) == 1
-    two_a = pwl.from_points([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))])
-    assert pwl.scale(two_a, 3)(1) == 6
     with pytest.raises(PwlError):
         pwl.add(f, pwl.constant(0, 5, 6))
 
@@ -120,55 +128,6 @@ def test_merge_max_examples():
     m = pwl.merge_max(f, pwl.constant(1, 0, 2))
     assert m.breakpoints == (0, 1, 2)
     assert m.values == (1, 1, 2)
-
-
-def test_merge_min_to_total_crossing():
-    a = pwl.from_points([(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))])
-    b = pwl.from_points([(Fraction(0), Fraction(2)), (Fraction(2), Fraction(0))])
-    merged = pwl.merge_min_to_total([a, b], 0, 2)
-    assert merged.breakpoints == (0, 1, 2)
-    assert merged.values == (0, 1, 0)
-
-
-def test_merge_min_to_total_gap_raises():
-    parts = [pwl.constant(5, 0, 1), pwl.constant(3, 2, 3)]
-    with pytest.raises(PwlError):
-        pwl.merge_min_to_total(parts, 0, 3)
-    assert pwl.merge_min_to_total(parts, 0, 1).values == (5, 5)
-
-
-def test_merge_min_to_total_interior_jump_raises():
-    parts = [pwl.constant(5, 0, 1), pwl.constant(3, 1, 2)]
-    with pytest.raises(PwlError):
-        pwl.merge_min_to_total(parts, 0, 2)
-    # a one-point interval takes the min of the parts that contain it
-    assert pwl.merge_min_to_total(parts, 1, 1).values == (3,)
-
-
-def test_merge_min_to_total_interior_dip_raises():
-    dip = PwlFunction((Fraction(1),), (Fraction(1),))
-    with pytest.raises(PwlError):
-        pwl.merge_min_to_total([pwl.constant(2, 0, 2), dip], 0, 2)
-    level = PwlFunction((Fraction(1),), (Fraction(2),))
-    assert pwl.merge_min_to_total([pwl.constant(2, 0, 2), level], 0, 2).values == (2, 2)
-
-
-def test_merge_min_to_total_ignores_dip_at_ends():
-    parts = [pwl.constant(2, 0, 2), PwlFunction((Fraction(1),), (Fraction(1),))]
-    for lo, hi in ((0, 1), (1, 2)):
-        merged = pwl.merge_min_to_total(parts, lo, hi)
-        assert merged.breakpoints == (lo, hi)
-        assert merged.values == (2, 2)
-
-
-def test_merge_min_to_total_overlapping_adjacent_pieces():
-    # x on [0, 2] and 5 - 2x on [1, 3]: they overlap on [1, 2] and cross at 5/3
-    a = pwl.from_points([(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))])
-    b = pwl.from_points([(Fraction(1), Fraction(3)), (Fraction(3), Fraction(-1))])
-    merged = pwl.merge_min_to_total([a, b], 0, 3)
-    assert merged.breakpoints == (0, Fraction(5, 3), 3)
-    assert merged.values == (0, Fraction(5, 3), -1)
-    assert pwl.merge_min_to_total([b, a], 0, 3) == merged
 
 
 GRID = st.integers(0, 16).map(lambda q: Fraction(q, 4))
@@ -184,68 +143,40 @@ def total_functions(draw) -> PwlFunction:
     return pwl.from_points(list(zip(qs, vs)))
 
 
-@st.composite
-def partial_parts(draw) -> list[PwlFunction]:
-    """Whole and restricted functions, plus a few single-point parts."""
-    parts = []
-    for g in draw(st.lists(total_functions(), min_size=1, max_size=4)):
-        a, b = sorted((draw(GRID), draw(GRID)))
-        parts.append(g if draw(st.booleans()) else pwl.restrict(g, a, b))
-    for _ in range(draw(st.integers(0, 2))):
-        parts.append(PwlFunction((draw(GRID),), (draw(VALUES),)))
-    return parts
-
-
-def _lowest(parts, x, from_left=False, from_right=False):
-    """Min at x over the parts containing x, or None; `from_left` keeps only
-    parts that also cover some stretch left of x, `from_right` right of it."""
-    vals = [
-        p(x)
-        for p in parts
-        if p.lo <= x <= p.hi and (p.lo < x or not from_left) and (x < p.hi or not from_right)
-    ]
-    return min(vals) if vals else None
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(partial_parts(), GRID, GRID)
-def test_merge_min_to_total_matches_pointwise_min(parts, a, b):
-    """Where the min of the parts is one continuous function on [lo, hi] the
-    merge equals it; where it has a gap, a jump or a dip inside, it raises."""
-    lo, hi = min(a, b), max(a, b)
-    if lo == hi:
-        broken = _lowest(parts, lo) is None
-    else:
-        cuts = sorted({lo, hi, *(q for p in parts for q in p.breakpoints if lo < q < hi)})
-        gap = any(_lowest(parts, (q1 + q2) / 2) is None for q1, q2 in zip(cuts, cuts[1:]))
-        broken = gap or any(
-            not _lowest(parts, q, from_left=True)
-            == _lowest(parts, q, from_right=True)
-            == _lowest(parts, q)
-            for q in cuts[1:-1]
-        )
-    if broken:
-        with pytest.raises(PwlError):
-            pwl.merge_min_to_total(parts, lo, hi)
-        return
-    merged = pwl.merge_min_to_total(parts, lo, hi)
-    assert (merged.lo, merged.hi) == (lo, hi)
-    assert merged == pwl.canonical(merged)
-    if lo == hi:
-        assert merged.values == (_lowest(parts, lo),)
-        return
-    assert merged(lo) == _lowest(parts, lo, from_right=True)
-    assert merged(hi) == _lowest(parts, hi, from_left=True)
-    samples = {lo + (hi - lo) * Fraction(t, 64) for t in range(1, 64)}
-    for x in samples.union(cuts, merged.breakpoints) - {lo, hi}:
-        assert merged(x) == _lowest(parts, x)
-
-
 def _cuts_and_midpoints(lo, hi, *functions):
     """lo, hi and every breakpoint of the functions strictly between them, in
     order, followed by the midpoint of each pair of neighbours."""
     cuts = sorted({lo, hi, *(q for f in functions for q in f.breakpoints if lo < q < hi)})
     return cuts, [(q1 + q2) / 2 for q1, q2 in zip(cuts, cuts[1:])]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(total_functions(), total_functions(), GRID, GRID, GRID, GRID)
+def test_merge_min_to_total_matches_pointwise_min(f0, g0, a, b, c, d):
+    """merge_min_total of two functions, each whole on a drawn sub-interval:
+    on the intersection of their domains it is the pointwise min at every
+    cut, at every crossing of the two and at samples between, and it comes
+    out canonical; disjoint domains raise."""
+    f = pwl.restrict(f0, *sorted((a, b)))
+    g = pwl.restrict(g0, *sorted((c, d)))
+    lo, hi = max(f.lo, g.lo), min(f.hi, g.hi)
+    if lo > hi:
+        with pytest.raises(PwlError):
+            pwl.merge_min_total(f, g)
+        return
+    merged = pwl.merge_min_total(f, g)
+    assert (merged.lo, merged.hi) == (lo, hi)
+    assert merged == pwl.canonical(merged)
+    cuts, _ = _cuts_and_midpoints(lo, hi, f, g)
+    crossings = []
+    for q1, q2 in zip(cuts, cuts[1:]):
+        d1, d2 = f(q1) - g(q1), f(q2) - g(q2)
+        if d1 * d2 < 0:
+            crossings.append(q1 + (q2 - q1) * d1 / (d1 - d2))
+    assert set(crossings) <= set(merged.breakpoints)
+    samples = {lo + (hi - lo) * Fraction(t, 64) for t in range(65)}
+    for x in samples.union(cuts, crossings, merged.breakpoints):
+        assert merged(x) == min(f(x), g(x))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -326,6 +257,18 @@ def test_unchanged_function_is_not_copied():
     colinear = pwl.from_points([(Fraction(q), Fraction(q + 1)) for q in range(3)])
     merged = pwl.canonical(colinear)
     assert merged.breakpoints == (0, 2) and merged.values == (1, 3)
+
+
+def test_pwl_function_refuses_malformed_breakpoints():
+    zero, one = Fraction(0), Fraction(1)
+    for breakpoints, values, message in (
+        ((), (), "empty"),
+        ((zero, one), (zero,), "length mismatch"),
+        ((zero, zero), (zero, one), "strictly increasing"),
+        ((one, zero), (zero, one), "strictly increasing"),
+    ):
+        with pytest.raises(PwlError, match=message):
+            PwlFunction(breakpoints, values)
 
 
 def test_good_positive_classification():
